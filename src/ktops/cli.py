@@ -2,7 +2,7 @@
 subcommands, deterministic delimiter-separated output files, and run
 manifests that echo the resolved parameters.
 
-Exit status: 0 success, 1 configuration error, 2 I/O error.
+Exit status: 0 success, 1 configuration or numeric range error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -21,12 +22,12 @@ from . import __version__
 from .classical import SpherePoint, phase_portrait
 from .entangle import entropies, ks_exponential, reduce, schmidt
 from .evolve import (
-    CoupledParams,
     TopParams,
     build_single_propagator,
-    evolve,
+    coupling_phase_matrix,
     initial_product_state,
     single_top_evolve,
+    trajectory,
 )
 from .husimi import SphericalGrid, delta_n_eff, gamma_factor, husimi_field, m2_pure, m2_rdm
 from .rmt import sr_analytic
@@ -50,7 +51,7 @@ class RunConfig:
     k1: Optional[float] = None
     k2: Optional[float] = None
     eps: float = 1e-2
-    eps_list: Optional[tuple] = None
+    eps_list: Optional[tuple[float, ...]] = None
     steps: int = 1000
     theta0: float = 0.89
     phi0: float = 0.63
@@ -58,9 +59,8 @@ class RunConfig:
     phi0_2: Optional[float] = None
     n_theta: int = 200
     n_phi: int = 400
-    snapshots: Optional[tuple] = None
+    snapshots: Optional[tuple[int, ...]] = None
     stride: int = 1
-    seed: int = 0
     out: str = "runs"
     portrait_grid: int = 20
     portrait_iters: int = 500
@@ -71,8 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.j < 0 or self.steps < 1 or self.stride < 1 or self.seed < 0:
-            raise ConfigError("j/steps/stride must be positive, seed nonnegative")
+        if self.j < 0 or self.steps < 1 or self.stride < 1:
+            raise ConfigError("j must be nonnegative, steps and stride positive")
         if self.stats_mode not in ("state", "rdm"):
             raise ConfigError(f"stats_mode must be 'state' or 'rdm', got {self.stats_mode!r}")
         if self.pool not in ("all", "top"):
@@ -103,34 +103,37 @@ class RunConfig:
     def epsilons(self) -> tuple:
         return self.eps_list if self.eps_list is not None else (self.eps,)
 
+    def records(self, n: int) -> bool:
+        """Whether step n is a row of a per-step series: every stride-th
+        step from 1, and the last step."""
+        return n > 0 and (n % self.stride == 0 or n == self.steps)
 
-_INT_KEYS = {"j", "steps", "n_theta", "n_phi", "stride", "seed",
-             "portrait_grid", "portrait_iters", "ic_grid"}
-_FLOAT_KEYS = {"k", "k1", "k2", "eps", "theta0", "phi0", "theta0_2", "phi0_2"}
-_STR_KEYS = {"kind", "out", "stats_mode", "pool"}
-_TUPLE_FLOAT_KEYS = {"eps_list"}
-_TUPLE_INT_KEYS = {"snapshots"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _TUPLE_FLOAT_KEYS | _TUPLE_INT_KEYS
+
+def _converter(hint):
+    """The parser of a field's text value, from its annotation: int, float,
+    str, or a comma-separated tuple of int or float; Optional is unwrapped."""
+    if typing.get_origin(hint) is typing.Union:
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return lambda raw: tuple(item(t) for t in raw.split(",") if t.strip())
+    return hint
+
+
+# config key -> parser of its text value, for config files, manifests and flags
+_CONVERTERS = {key: _converter(hint) for key, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def _convert(key: str, raw: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _TUPLE_FLOAT_KEYS:
-            return tuple(float(t) for t in raw.split(",") if t.strip())
-        if key in _TUPLE_INT_KEYS:
-            return tuple(int(t) for t in raw.split(",") if t.strip())
+        return _CONVERTERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    return raw
 
 
-def parse_config_text(text: str) -> dict:
-    """One `key = value` per line; # starts a comment; blank lines ignored."""
-    out = {}
+def _key_values(text: str):
+    """(line number, key, raw value) of each `key = value` line; # starts a
+    comment; blank lines are skipped."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -138,9 +141,14 @@ def parse_config_text(text: str) -> dict:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = body.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _ALL_KEYS:
+        yield lineno, key.strip(), raw.strip()
+
+
+def parse_config_text(text: str) -> dict:
+    """One `key = value` per line; # starts a comment; blank lines ignored."""
+    out = {}
+    for lineno, key, raw in _key_values(text):
+        if key not in _CONVERTERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         out[key] = _convert(key, raw)
     return out
@@ -149,7 +157,7 @@ def parse_config_text(text: str) -> dict:
 def config_from_mapping(kind: str, mapping: dict) -> RunConfig:
     mapping = dict(mapping)
     mapping.pop("kind", None)
-    unknown = set(mapping) - _ALL_KEYS
+    unknown = set(mapping) - set(_CONVERTERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(kind=kind, **mapping)
@@ -179,22 +187,14 @@ def config_lines(cfg: RunConfig) -> list:
 
 def config_from_manifest_text(text: str) -> RunConfig:
     """Rebuild the RunConfig echoed in a manifest, ignoring bookkeeping keys."""
-    params = {}
-    kind = None
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body or "=" not in body:
-            continue
-        key, _, raw = body.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key == "kind":
-            kind = raw
-        elif key in _ALL_KEYS:
-            params[key] = _convert(key, raw)
-    if kind is None:
+    params = {
+        key: _convert(key, raw)
+        for _, key, raw in _key_values(text)
+        if key in _CONVERTERS
+    }
+    if "kind" not in params:
         raise ConfigError("manifest carries no kind")
-    return config_from_mapping(kind, params)
+    return config_from_mapping(params["kind"], params)
 
 
 @dataclass
@@ -232,18 +232,30 @@ def _write_table(path: Path, header: str, rows) -> int:
 # experiment engines
 
 
+def _coupled_propagators(cfg: RunConfig, eps: float) -> tuple:
+    """U1, U2 and the coupling table of the configured pair of tops at eps."""
+    spin = cfg.spin
+    k1, k2 = cfg.kick_pair()
+    return (
+        build_single_propagator(TopParams(spin, k1)),
+        build_single_propagator(TopParams(spin, k2)),
+        coupling_phase_matrix(spin, eps),
+    )
+
+
+def _coupled_trajectory(cfg: RunConfig, n_steps: int):
+    """(n, state) of the configured coupled run for n = 0..n_steps."""
+    state0 = initial_product_state(cfg.spin, *cfg.angles())
+    return trajectory(state0, *_coupled_propagators(cfg, cfg.eps), n_steps)
+
+
 def entropy_series(cfg: RunConfig) -> dict:
     """Coupled run: per recorded step S_V, S_R, M2 of rho_1, occupancy, gamma."""
-    spin = cfg.spin
-    n_dim = spin.dim
-    k1, k2 = cfg.kick_pair()
-    params = CoupledParams(TopParams(spin, k1), TopParams(spin, k2), cfg.eps)
-    state = initial_product_state(spin, *cfg.angles())
+    n_dim = cfg.spin.dim
     rec = {"n": [], "s_v": [], "s_r": [], "m2": [], "delta_n_eff": [], "gamma": []}
-
-    def observe(n, st):
-        if n % cfg.stride != 0 and n != cfg.steps:
-            return
+    for n, st in _coupled_trajectory(cfg, cfg.steps):
+        if not cfg.records(n):
+            continue
         rho = reduce(st, 1)
         s_v, s_r = entropies(schmidt(rho))
         m2 = m2_rdm(rho)
@@ -254,28 +266,22 @@ def entropy_series(cfg: RunConfig) -> dict:
         rec["m2"].append(m2)
         rec["delta_n_eff"].append(dn)
         rec["gamma"].append(gamma_factor(s_v, dn, n_dim))
-
-    evolve(state, params, cfg.steps, observer=observe)
     return {key: np.asarray(val) for key, val in rec.items()}
 
 
 def single_top_series(cfg: RunConfig) -> dict:
     """Single-top run: per recorded step the pure-state M2 and occupancy."""
     spin = cfg.spin
-    n_dim = spin.dim
     prop = build_single_propagator(TopParams(spin, cfg.k))
     v0 = coherent_amplitudes(spin, cfg.theta0, cfg.phi0)
     rec = {"n": [], "m2": [], "delta_n_eff": []}
-
-    def observe(n, v):
-        if n % cfg.stride != 0 and n != cfg.steps:
-            return
+    for n, v in single_top_evolve(v0, prop, cfg.steps):
+        if not cfg.records(n):
+            continue
         m2 = m2_pure(v)
         rec["n"].append(n)
         rec["m2"].append(m2)
-        rec["delta_n_eff"].append(delta_n_eff(m2, n_dim))
-
-    single_top_evolve(v0, prop, cfg.steps, observer=observe)
+        rec["delta_n_eff"].append(delta_n_eff(m2, spin.dim))
     return {key: np.asarray(val) for key, val in rec.items()}
 
 
@@ -283,8 +289,7 @@ def rmt_compare_series(cfg: RunConfig, eps: float) -> dict:
     """Measured S_R averaged over a lattice of initial coherent products,
     next to both analytic evaluation routes."""
     spin = cfg.spin
-    k1, k2 = cfg.kick_pair()
-    params = CoupledParams(TopParams(spin, k1), TopParams(spin, k2), eps)
+    u1, u2, coupling = _coupled_propagators(cfg, eps)
     g = cfg.ic_grid
     thetas = (np.arange(g) + 0.5) * math.pi / g
     phis = -math.pi + (np.arange(g) + 0.5) * 2.0 * math.pi / g
@@ -292,14 +297,13 @@ def rmt_compare_series(cfg: RunConfig, eps: float) -> dict:
 
     for th in thetas:
         for ph in phis:
-            state = initial_product_state(spin, th, ph, th, ph)
-
-            def observe(n, st, acc=acc):
+            state0 = initial_product_state(spin, th, ph, th, ph)
+            for n, st in trajectory(state0, u1, u2, coupling, cfg.steps):
+                if n == 0:
+                    continue
                 a = st.amplitudes
                 rho = a @ a.conj().T
                 acc[n - 1] += 1.0 - float((np.abs(rho) ** 2).sum())
-
-            evolve(state, params, cfg.steps, observer=observe)
     acc /= g * g
     n_arr = np.arange(1, cfg.steps + 1)
     return {
@@ -323,39 +327,23 @@ def stats_components(cfg: RunConfig) -> np.ndarray:
     the spectrum).
     """
     spin = cfg.spin
-    snaps = sorted(set(cfg.snapshot_steps()))
+    snaps = set(cfg.snapshot_steps())
     pool = []
     if cfg.stats_mode == "state":
         prop = build_single_propagator(TopParams(spin, cfg.k))
-        v = coherent_amplitudes(spin, cfg.theta0, cfg.phi0)
-        if 0 in snaps:
-            pool.append(v.copy())
-
-        def observe(n, vec):
+        v0 = coherent_amplitudes(spin, cfg.theta0, cfg.phi0)
+        for n, v in single_top_evolve(v0, prop, max(snaps)):
             if n in snaps:
-                pool.append(vec.copy())
-
-        single_top_evolve(v, prop, max(max(snaps), 1), observer=observe)
+                pool.append(v.copy())
     else:
-        k1, k2 = cfg.kick_pair()
-        params = CoupledParams(TopParams(spin, k1), TopParams(spin, k2), cfg.eps)
-        state = initial_product_state(spin, *cfg.angles())
-
-        def collect(st):
+        for n, st in _coupled_trajectory(cfg, max(snaps)):
+            if n not in snaps:
+                continue
             spec = schmidt(reduce(st, 1))
             cols = spec.eigenvectors.shape[1]
             take = cols if cfg.pool == "all" else max(1, cols // 2)
             for col in range(take):
                 pool.append(spec.eigenvectors[:, col].copy())
-
-        if 0 in snaps:
-            collect(state)
-
-        def observe(n, st):
-            if n in snaps:
-                collect(st)
-
-        evolve(state, params, max(max(snaps), 1), observer=observe)
     return np.concatenate(pool)
 
 
@@ -397,33 +385,24 @@ def _run_portrait(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_husimi(cfg: RunConfig, outdir: Path) -> dict:
-    spin = cfg.spin
-    grid = SphericalGrid.build(spin, cfg.n_theta, cfg.n_phi)
-    snaps = sorted(set(cfg.snapshot_steps()))
-    k1, k2 = cfg.kick_pair()
-    params = CoupledParams(TopParams(spin, k1), TopParams(spin, k2), cfg.eps)
-    state = initial_product_state(spin, *cfg.angles())
+    grid = SphericalGrid.build(cfg.spin, cfg.n_theta, cfg.n_phi)
+    snaps = set(cfg.snapshot_steps())
     files = {}
-
-    def emit(step, st):
-        field = husimi_field(reduce(st, 1), grid)
-        name = f"husimi_n{step:05d}.tsv"
+    for n, st in _coupled_trajectory(cfg, max(snaps)):
+        if n not in snaps:
+            continue
+        name = f"husimi_n{n:05d}.tsv"
         header = (
-            f"# husimi j={cfg.j} step={step} n_theta={cfg.n_theta} "
+            f"# husimi j={cfg.j} step={n} n_theta={cfg.n_theta} "
             f"n_phi={cfg.n_phi} rows=theta cols=phi"
         )
-        rows = (tuple(_fmt(v) for v in row) for row in field.values)
+        # the field is referenced only by this generator, so it is freed
+        # once written rather than held while the next one is computed
+        rows = (
+            tuple(_fmt(v) for v in row)
+            for row in husimi_field(reduce(st, 1), grid).values
+        )
         files[name] = _write_table(outdir / name, header, rows)
-
-    if 0 in snaps:
-        emit(0, state)
-    positive = [s for s in snaps if s > 0]
-    if positive:
-        def observe(n, st):
-            if n in positive:
-                emit(n, st)
-
-        evolve(state, params, max(positive), observer=observe)
     return files
 
 
@@ -512,19 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
         p = sub.add_parser(kind)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--j", type=int, default=None)
-        p.add_argument("--k", type=float, default=None)
-        p.add_argument("--k1", type=float, default=None)
-        p.add_argument("--k2", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--theta0", type=float, default=None)
-        p.add_argument("--phi0", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--snapshots", type=str, default=None)
-        p.add_argument("--stride", type=int, default=None)
+        p.add_argument("--config")
+        for key in _CONVERTERS:
+            if key != "kind":  # the subcommand
+                p.add_argument(f"--{key}")
     return parser
 
 
@@ -536,13 +506,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         mapping.update(parse_config_text(text))
-    for key in ("j", "k", "k1", "k2", "eps", "steps", "theta0", "phi0",
-                "seed", "out", "stride"):
-        val = getattr(args, key, None)
-        if val is not None:
-            mapping[key] = val
-    if getattr(args, "snapshots", None) is not None:
-        mapping["snapshots"] = _convert("snapshots", args.snapshots)
+    for key, raw in vars(args).items():
+        if key in _CONVERTERS and raw is not None:
+            mapping[key] = _convert(key, raw)
     return config_from_mapping(args.kind, mapping)
 
 
@@ -559,6 +525,9 @@ def main(argv=None) -> int:
         return 1
     try:
         manifest = run(cfg)
+    except FloatingPointError as exc:
+        print(f"numeric range error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

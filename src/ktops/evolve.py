@@ -8,28 +8,20 @@ phase exp(-i eps s1 s2 / j).  The N^2 x N^2 joint operator is never formed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator
 
 import numpy as np
 
-from .spincore import SpinQuantum, WignerHalfPiMatrix, coherent_amplitudes, wigner_d_half_pi
-
-HALF_PI = math.pi / 2.0
+from .spincore import SpinQuantum, coherent_amplitudes, wigner_d_half_pi
 
 
 @dataclass(frozen=True)
 class TopParams:
-    """Single-top parameters; the precession angle is pinned at pi/2."""
+    """Single-top parameters; the precession angle is fixed at pi/2."""
 
     spin: SpinQuantum
     k: float
-    p: float = HALF_PI
-
-    def __post_init__(self):
-        if abs(self.p - HALF_PI) > 1e-15:
-            raise ValueError("only p = pi/2 is supported (rotation matrix is hardwired)")
 
 
 @dataclass(frozen=True)
@@ -52,8 +44,6 @@ class SinglePropagator:
     """U[s, m] = exp(-i k s^2 / 2j) d_{s m}(pi/2); columns index the source basis."""
 
     spin: SpinQuantum
-    kick_phases: np.ndarray
-    rotation: WignerHalfPiMatrix
     matrix: np.ndarray
 
 
@@ -84,12 +74,8 @@ def build_single_propagator(params: TopParams) -> SinglePropagator:
         kick = np.exp(-1j * params.k * m * m / spin.two_j)
     else:
         kick = np.ones(1, dtype=complex)
-    rot = wigner_d_half_pi(spin)
     return SinglePropagator(
-        spin=spin,
-        kick_phases=kick,
-        rotation=rot,
-        matrix=kick.reshape(-1, 1) * rot.entries,
+        spin=spin, matrix=kick.reshape(-1, 1) * wigner_d_half_pi(spin).entries
     )
 
 
@@ -114,55 +100,51 @@ def coupled_step(
     state: PureState,
     prop1: SinglePropagator,
     prop2: SinglePropagator,
-    epsilon: float,
-    coupling: Optional[np.ndarray] = None,
+    coupling: np.ndarray,
 ) -> PureState:
-    """One Floquet period: independent top propagators, then coupling phases."""
+    """One Floquet period: independent top propagators, then the coupling
+    phases of coupling_phase_matrix."""
     if prop1.spin != state.spin or prop2.spin != state.spin:
         raise ValueError("propagator/state spin mismatch")
     psi = prop1.matrix @ state.amplitudes @ prop2.matrix.T
-    if coupling is None:
-        coupling = coupling_phase_matrix(state.spin, epsilon)
     psi *= coupling
     return PureState(spin=state.spin, amplitudes=psi)
 
 
-def evolve(
+def trajectory(
     state0: PureState,
-    params: CoupledParams,
+    u1: SinglePropagator,
+    u2: SinglePropagator,
+    coupling: np.ndarray,
     n_steps: int,
-    observer: Optional[Callable[[int, PureState], None]] = None,
-) -> PureState:
-    """Apply the coupled Floquet operator n_steps times.
+) -> Iterator[tuple[int, PureState]]:
+    """Yield (n, state after n coupled periods) for n = 0..n_steps."""
+    state = state0
+    yield 0, state
+    for n in range(1, n_steps + 1):
+        state = coupled_step(state, u1, u2, coupling)
+        yield n, state
 
-    The observer, when given, is called with (step index, state) at steps
-    1..n_steps; propagators and coupling phases are built once.
-    """
+
+def evolve(state0: PureState, params: CoupledParams, n_steps: int) -> PureState:
+    """The state after n_steps coupled periods; propagators and coupling
+    phases are built once."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     u1 = build_single_propagator(params.top1)
     u2 = build_single_propagator(params.top2)
     coupling = coupling_phase_matrix(params.spin, params.epsilon)
-    state = state0
-    for n in range(1, n_steps + 1):
-        state = coupled_step(state, u1, u2, params.epsilon, coupling=coupling)
-        if observer is not None:
-            observer(n, state)
+    for _, state in trajectory(state0, u1, u2, coupling, n_steps):
+        pass
     return state
 
 
 def single_top_evolve(
-    vector: np.ndarray,
-    prop: SinglePropagator,
-    n_steps: int,
-    observer: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> np.ndarray:
-    """Repeated application of one top's propagator to a basis-ordered vector."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    vector: np.ndarray, prop: SinglePropagator, n_steps: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, U^n vector) for n = 0..n_steps, the vector basis-ordered."""
     v = np.asarray(vector, dtype=complex)
+    yield 0, v
     for n in range(1, n_steps + 1):
         v = prop.matrix @ v
-        if observer is not None:
-            observer(n, v)
-    return v
+        yield n, v

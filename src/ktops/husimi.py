@@ -14,6 +14,7 @@ amplitudes, evaluated here entirely in log space.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -136,9 +137,10 @@ def m2_pure(vector: np.ndarray) -> float:
     v = np.asarray(vector, dtype=complex)
     spin = _spin_for_dim(len(v))
     tab = _f_table(spin)
-    u = v * np.exp(tab.half_ln_binom)
-    a = np.convolve(u, u)  # a[s + 2j] = sum_i u_i u_{s-i}
-    m2 = float(np.exp(tab.ln_s_weight) @ (a.real**2 + a.imag**2))
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        u = v * np.exp(tab.half_ln_binom)
+        a = np.convolve(u, u)  # a[s + 2j] = sum_i u_i u_{s-i}
+        m2 = float(np.exp(tab.ln_s_weight) @ (a.real**2 + a.imag**2))
     if not math.isfinite(m2):
         raise FloatingPointError("m2_pure overflowed; spin out of supported range")
     return m2
@@ -150,21 +152,26 @@ def m2_rdm(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> float:
     Per diagonal sum s this is a two-dimensional correlation
     T(s) = sum_{i,k} B_{ik} B_{s-i,s-k} of B = rho * sqrt(C C'); the imaginary
     residue of the analytically real total is asserted small, then dropped.
+    The entries of B grow like C(2j, j), so at large j the products overflow;
+    a non-finite total raises FloatingPointError.
     """
     entries = rdm.entries if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm)
     n = entries.shape[0]
     spin = _spin_for_dim(n)
     tab = _f_table(spin)
     half = np.exp(tab.half_ln_binom)
-    b = entries * np.outer(half, half)
     w = np.exp(tab.ln_s_weight)
     total = 0.0 + 0.0j
-    for a in range(2 * n - 1):
-        lo = max(0, a - (n - 1))
-        hi = min(n - 1, a)
-        sub = b[lo : hi + 1, lo : hi + 1]
-        mirrored = b[a - hi : a - lo + 1, a - hi : a - lo + 1][::-1, ::-1]
-        total += w[a] * (sub * mirrored).sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        b = entries * np.outer(half, half)
+        for a in range(2 * n - 1):
+            lo = max(0, a - (n - 1))
+            hi = min(n - 1, a)
+            sub = b[lo : hi + 1, lo : hi + 1]
+            mirrored = b[a - hi : a - lo + 1, a - hi : a - lo + 1][::-1, ::-1]
+            total += w[a] * (sub * mirrored).sum()
+    if not cmath.isfinite(total):
+        raise FloatingPointError("m2_rdm overflowed; spin out of supported range")
     if abs(total.imag) > _IMAG_TOL:
         raise FloatingPointError(f"imaginary residue {total.imag} exceeds tolerance")
     return float(total.real)

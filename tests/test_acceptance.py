@@ -22,8 +22,10 @@ from ktops.evolve import (
     TopParams,
     build_single_propagator,
     coupled_step,
+    coupling_phase_matrix,
     evolve,
     initial_product_state,
+    trajectory,
 )
 from ktops.husimi import SphericalGrid, delta_n_eff, gamma_factor, husimi_field, m2_pure, m2_quadrature, m2_rdm
 from ktops.rmt import predictions, sr_weak_rate
@@ -48,7 +50,8 @@ def coupled_run(j: int, k1: float, k2: float, eps: float, steps: int = 1000) -> 
         return _RUNS[key]
     spin = SpinQuantum.from_j(j)
     n_dim = spin.dim
-    params = CoupledParams(TopParams(spin, k1), TopParams(spin, k2), eps)
+    u1 = build_single_propagator(TopParams(spin, k1))
+    u2 = build_single_propagator(TopParams(spin, k2))
     state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
     out = {
         "s_v": np.empty(steps), "s_r": np.empty(steps),
@@ -56,7 +59,9 @@ def coupled_run(j: int, k1: float, k2: float, eps: float, steps: int = 1000) -> 
         "max_trace_err": 0.0, "max_clip": 0.0, "max_sv_asymmetry": 0.0,
     }
 
-    def observe(n, st):
+    for n, st in trajectory(state0, u1, u2, coupling_phase_matrix(spin, eps), steps):
+        if n == 0:
+            continue
         rho = reduce(st, 1)
         out["max_trace_err"] = max(
             out["max_trace_err"], abs(np.trace(rho.entries).real - 1.0)
@@ -75,7 +80,7 @@ def coupled_run(j: int, k1: float, k2: float, eps: float, steps: int = 1000) -> 
             sv2, _ = entropies(schmidt(reduce(st, 2)))
             out["max_sv_asymmetry"] = max(out["max_sv_asymmetry"], abs(s_v - sv2))
 
-    out["final_state"] = evolve(state0, params, steps, observer=observe)
+    out["final_state"] = st
     _RUNS[key] = out
     return out
 
@@ -203,7 +208,7 @@ def test_criterion_08_oracle_equivalence():
         p1 = build_single_propagator(TopParams(spin, 1.3))
         p2 = build_single_propagator(TopParams(spin, 2.7))
         state = initial_product_state(spin, 0.89, 0.63, 1.2, -2.0)
-        stepped = coupled_step(state, p1, p2, 0.23)
+        stepped = coupled_step(state, p1, p2, coupling_phase_matrix(spin, 0.23))
         m = spin.m_values()
         dense = np.diag(np.exp(-2j * 0.23 / two_j * np.outer(m, m).ravel())) @ np.kron(
             p1.matrix, p2.matrix

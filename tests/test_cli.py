@@ -113,6 +113,20 @@ class TestExitCodes:
     def test_bad_flag(self):
         assert main(["evolve", "--j", "not-an-int"]) == 1
 
+    def test_numeric_range_error(self, tmp_path, capsys):
+        # m2_pure overflows at j = 320: exit 1 with one message, and no output
+        rc = main(["deltaneff", "--j", "320", "--steps", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_field_is_a_flag(self, tmp_path):
+        main(["rmt-compare", "--j", "4", "--steps", "3", "--ic_grid", "1",
+              "--eps_list", "0.001,0.01", "--out", str(tmp_path)])
+        text = (tmp_path / "rmt_compare_manifest.txt").read_text()
+        cfg = config_from_manifest_text(text)
+        assert (cfg.ic_grid, cfg.eps_list) == (1, (0.001, 0.01))
+
 
 class TestRunEvolve:
     def test_columns_and_finiteness(self, tmp_path):

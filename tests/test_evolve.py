@@ -16,6 +16,7 @@ from ktops.evolve import (
     evolve,
     initial_product_state,
     single_top_evolve,
+    trajectory,
 )
 from ktops.spincore import SpinQuantum, wigner_d_half_pi
 
@@ -29,10 +30,6 @@ def random_state(spin, seed=0) -> PureState:
 
 
 class TestTopParams:
-    def test_rejects_other_precession(self):
-        with pytest.raises(ValueError):
-            TopParams(SpinQuantum(2), k=1.0, p=1.0)
-
     def test_rejects_spin_mismatch(self):
         with pytest.raises(ValueError):
             CoupledParams(TopParams(SpinQuantum(2), 1.0), TopParams(SpinQuantum(4), 1.0), 0.1)
@@ -102,7 +99,7 @@ class TestCoupledStep:
         p2 = build_single_propagator(TopParams(spin, 2.7))
         eps = 0.23
         state = initial_product_state(spin, 0.89, 0.63, 1.2, -2.0)
-        out = coupled_step(state, p1, p2, eps)
+        out = coupled_step(state, p1, p2, coupling_phase_matrix(spin, eps))
         m = spin.m_values()
         u_eps = np.diag(np.exp(-2j * eps / two_j * np.outer(m, m).ravel()))
         dense = u_eps @ np.kron(p1.matrix, p2.matrix)
@@ -114,7 +111,7 @@ class TestCoupledStep:
         p1 = build_single_propagator(TopParams(spin, 1.0))
         p2 = build_single_propagator(TopParams(spin, 2.0))
         state = random_state(spin, 1)
-        out = coupled_step(state, p1, p2, 0.0)
+        out = coupled_step(state, p1, p2, coupling_phase_matrix(spin, 0.0))
         ref = p1.matrix @ state.amplitudes @ p2.matrix.T
         np.testing.assert_allclose(out.amplitudes, ref, atol=1e-15)
 
@@ -128,7 +125,7 @@ class TestCoupledStep:
         p1 = build_single_propagator(TopParams(spin, 6.0))
         p2 = build_single_propagator(TopParams(spin, 6.1))
         state = random_state(spin, 2)
-        out = coupled_step(state, p1, p2, 0.01)
+        out = coupled_step(state, p1, p2, coupling_phase_matrix(spin, 0.01))
         assert abs(out.norm() - 1.0) < 1e-12
 
     def test_spin_mismatch_raises(self):
@@ -136,7 +133,7 @@ class TestCoupledStep:
         p_big = build_single_propagator(TopParams(SpinQuantum(4), 1.0))
         state = random_state(SpinQuantum(4), 3)
         with pytest.raises(ValueError):
-            coupled_step(state, p_small, p_big, 0.1)
+            coupled_step(state, p_small, p_big, coupling_phase_matrix(SpinQuantum(4), 0.1))
 
     def test_time_reversal(self):
         spin = SpinQuantum(24)
@@ -144,8 +141,8 @@ class TestCoupledStep:
         p2 = build_single_propagator(TopParams(spin, 6.1))
         eps = 0.01
         state = random_state(spin, 4)
-        fwd = coupled_step(state, p1, p2, eps)
         phases = coupling_phase_matrix(spin, eps)
+        fwd = coupled_step(state, p1, p2, phases)
         back = p1.matrix.conj().T @ (fwd.amplitudes * phases.conj()) @ p2.matrix.conj()
         assert np.abs(back - state.amplitudes).max() < 1e-11
 
@@ -159,28 +156,22 @@ class TestEvolve:
         p2 = build_single_propagator(params.top2)
         np.testing.assert_allclose(
             evolve(state, params, 1).amplitudes,
-            coupled_step(state, p1, p2, 0.05).amplitudes,
+            coupled_step(state, p1, p2, coupling_phase_matrix(spin, 0.05)).amplitudes,
             atol=1e-15,
         )
 
-    def test_observer_called_each_step(self):
+    def test_trajectory_yields_each_step(self):
         spin = SpinQuantum(4)
         params = CoupledParams(TopParams(spin, 2.0), TopParams(spin, 2.0), 0.01)
         state = initial_product_state(spin, 1.0, 0.0, 1.0, 0.0)
-        seen = []
-        evolve(state, params, 17, observer=lambda n, s: seen.append(n))
-        assert seen == list(range(1, 18))
-
-    def test_observer_failure_propagates(self):
-        spin = SpinQuantum(4)
-        params = CoupledParams(TopParams(spin, 2.0), TopParams(spin, 2.0), 0.01)
-        state = initial_product_state(spin, 1.0, 0.0, 1.0, 0.0)
-
-        def boom(n, s):
-            raise RuntimeError("observer failure")
-
-        with pytest.raises(RuntimeError, match="observer failure"):
-            evolve(state, params, 5, observer=boom)
+        p1 = build_single_propagator(params.top1)
+        coupling = coupling_phase_matrix(spin, 0.01)
+        steps = list(trajectory(state, p1, p1, coupling, 17))
+        assert [n for n, _ in steps] == list(range(18))
+        assert steps[0][1] is state
+        np.testing.assert_array_equal(
+            steps[-1][1].amplitudes, evolve(state, params, 17).amplitudes
+        )
 
     def test_uncoupled_run_stays_product(self):
         spin = SpinQuantum(40)
@@ -192,16 +183,12 @@ class TestEvolve:
 
     def test_uncoupled_run_stays_product_at_full_scale(self):
         spin = SpinQuantum(160)
-        params = CoupledParams(TopParams(spin, 6.0), TopParams(spin, 6.0), 0.0)
         state = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
+        p1 = build_single_propagator(TopParams(spin, 6.0))
         worst = 0.0
-
-        def observe(n, st):
-            nonlocal worst
+        for n, st in trajectory(state, p1, p1, coupling_phase_matrix(spin, 0.0), 1000):
             if n % 250 == 0:
                 worst = max(worst, *entropies(schmidt(reduce(st, 1))))
-
-        evolve(state, params, 1000, observer=observe)
         assert worst < 1e-10
 
     def test_single_top_evolve_matches_matrix_power(self):
@@ -209,6 +196,7 @@ class TestEvolve:
         prop = build_single_propagator(TopParams(spin, 6.0))
         v0 = np.zeros(spin.dim, dtype=complex)
         v0[3] = 1.0
-        out = single_top_evolve(v0, prop, 7)
-        ref = np.linalg.matrix_power(prop.matrix, 7) @ v0
-        np.testing.assert_allclose(out, ref, atol=1e-13)
+        for n, out in single_top_evolve(v0, prop, 7):
+            ref = np.linalg.matrix_power(prop.matrix, n) @ v0
+            np.testing.assert_allclose(out, ref, atol=1e-13)
+        assert n == 7

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ktops.entangle import reduce
-from ktops.evolve import PureState
+from ktops.evolve import CoupledParams, PureState, TopParams, evolve, initial_product_state
 from ktops.husimi import (
     FWeightTable,
     SphericalGrid,
@@ -105,6 +105,15 @@ class TestM2Rdm:
         state = PureState(spin=spin, amplitudes=v)
         rdm = reduce(state, 1)
         assert m2_rdm(rdm) == pytest.approx(m2_rdm(rdm.entries), abs=1e-16)
+
+    def test_overflow_raises(self):
+        # at j = 280 the binomial-weighted sums of an evolved state overflow;
+        # the non-finite total must raise, not come back as NaN
+        spin = SpinQuantum.from_j(280)
+        params = CoupledParams(TopParams(spin, 6.0), TopParams(spin, 6.0), 1e-2)
+        state = evolve(initial_product_state(spin, 0.89, 0.63, 0.89, 0.63), params, 20)
+        with pytest.raises(FloatingPointError, match="m2_rdm"):
+            m2_rdm(reduce(state, 1))
 
 
 class TestQuadratureOracle:
