@@ -1,183 +1,110 @@
 """Canonical classical maps of the single and coupled kicked tops.
 
-The maps act on points of the unit sphere; the coupled map rotates each sphere
-about its x-axis by an angle mixing its own torsion with the partner's X
-component, then swaps axes.  Iteration happens in the ambient (X, Y, Z)
-coordinates; (cos theta, phi) are only produced for output.
+A point of the unit sphere is an array whose last axis is (X, Y, Z); a state
+of the coupled tops has shape (..., 2, 3), one point per top.  Each step
+rotates every sphere about its x-axis by its torsion angle, then swaps axes;
+the coupled map mixes each top's own torsion with the partner's X component.
+Iteration happens in the ambient coordinates; (cos theta, phi) are only
+produced for output.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 _NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        r2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(r2 - 1.0) > 1e-9:
-            raise ValueError(f"point not on unit sphere: |r|^2 = {r2!r}")
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "SpherePoint":
-        st = math.sin(theta)
-        return cls(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class CanonicalCoords:
-    """Canonical pair on the sphere: cos(theta) and phi in (-pi, pi]."""
-
-    cos_theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.cos_theta <= 1.0:
-            raise ValueError(f"cos_theta out of range: {self.cos_theta}")
-        if not -math.pi < self.phi <= math.pi + 1e-15:
-            raise ValueError(f"phi out of range: {self.phi}")
-
-
-@dataclass(frozen=True)
-class CoupledClassicalState:
-    p1: SpherePoint
-    p2: SpherePoint
-
-
-def _rotate3(x: float, y: float, z: float, delta: float) -> tuple:
-    """One kicked-top step of a single sphere with total torsion angle delta."""
-    c, s = math.cos(delta), math.sin(delta)
-    return (z * c + y * s, -z * s + y * c, -x)
-
-
-def _renorm(vec: tuple, r_in: float) -> tuple:
+def _kick(v: np.ndarray, delta) -> np.ndarray:
+    """X' = Z cos(delta) + Y sin(delta), Y' = -Z sin(delta) + Y cos(delta),
+    Z' = -X for points v of shape (..., 3) and torsion angles delta (...)."""
+    # coordinate axis first (np.moveaxis, without its overhead); one point
+    # unpacks to numpy scalars, which keeps the single-point step cheap
+    x, y, z = v.transpose(-1, *range(v.ndim - 1))
+    c, s = np.cos(delta), np.sin(delta)
+    xo = z * c + y * s
+    yo = -z * s + y * c
+    out = np.empty_like(v, dtype=float)
+    out[..., 0] = xo
+    out[..., 1] = yo
+    out[..., 2] = -x
     # the step algebra preserves the input norm exactly; project only if
     # roundoff drifted past tolerance, and back to the *input* norm so that
     # off-sphere probe points (finite-difference Jacobians) stay untouched
-    x, y, z = vec
-    r_out = math.sqrt(x * x + y * y + z * z)
-    if r_in > 0.0 and abs(r_out / r_in - 1.0) > _NORM_TOL:
-        f = r_in / r_out
-        return (x * f, y * f, z * f)
-    return vec
+    r_in = np.sqrt(x * x + y * y + z * z)
+    r_out = np.sqrt(xo * xo + yo * yo + x * x)
+    drift = np.abs(r_out - r_in) > _NORM_TOL * r_in
+    if drift.any():
+        out *= np.divide(r_in, r_out, out=np.ones(np.shape(r_in)), where=drift)[..., None]
+    return out
 
 
-def single_map(point: SpherePoint, k: float) -> SpherePoint:
-    """X' = Z cos(kX) + Y sin(kX), Y' = -Z sin(kX) + Y cos(kX), Z' = -X."""
-    r_in = math.sqrt(point.x**2 + point.y**2 + point.z**2)
-    out = _renorm(_rotate3(point.x, point.y, point.z, k * point.x), r_in)
-    return SpherePoint(*out)
+def single_map(v: np.ndarray, k: float) -> np.ndarray:
+    """One kick of the single top, torsion angle kX."""
+    return _kick(v, k * v[..., 0])
 
 
-def coupled_map(
-    state: CoupledClassicalState, k1: float, k2: float, epsilon: float
-) -> CoupledClassicalState:
-    """Coupled step with torsion angles kX_self + epsilon X_other."""
-    p1, p2 = state.p1, state.p2
-    d12 = k1 * p1.x + epsilon * p2.x
-    d21 = k2 * p2.x + epsilon * p1.x
-    r1 = math.sqrt(p1.x**2 + p1.y**2 + p1.z**2)
-    r2 = math.sqrt(p2.x**2 + p2.y**2 + p2.z**2)
-    q1 = _renorm(_rotate3(p1.x, p1.y, p1.z, d12), r1)
-    q2 = _renorm(_rotate3(p2.x, p2.y, p2.z, d21), r2)
-    return CoupledClassicalState(SpherePoint(*q1), SpherePoint(*q2))
+def coupled_map(v: np.ndarray, k1: float, k2: float, epsilon: float) -> np.ndarray:
+    """One kick of the coupled tops (..., 2, 3), torsion angles kX_self + epsilon X_other."""
+    return _kick(v, np.array([k1, k2]) * v[..., 0] + epsilon * v[..., ::-1, 0])
 
 
-def coupled_map_array(k1: float, k2: float, epsilon: float) -> Callable:
-    """The coupled map as a raw function on 6-vectors (X1,Y1,Z1,X2,Y2,Z2).
-
-    No validation and no renormalization: this is the literal algebra, the
-    form needed by finite-difference Jacobians.
-    """
-
-    def step(v: np.ndarray) -> np.ndarray:
-        x1, y1, z1, x2, y2, z2 = v
-        d12 = k1 * x1 + epsilon * x2
-        d21 = k2 * x2 + epsilon * x1
-        return np.array(list(_rotate3(x1, y1, z1, d12)) + list(_rotate3(x2, y2, z2, d21)))
-
-    return step
+def to_canonical(v: np.ndarray) -> np.ndarray:
+    """(cos theta, phi) of points v (..., 3): cos(theta) = Z clipped to
+    [-1, 1], phi = atan2(Y, X) in [-pi, pi]; phi := 0 at the poles."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.empty(np.shape(v)[:-1] + (2,))
+    out[..., 0] = np.clip(z, -1.0, 1.0)
+    out[..., 1] = np.where((x == 0.0) & (y == 0.0), 0.0, np.arctan2(y, x))
+    return out
 
 
-def to_canonical(point: SpherePoint) -> CanonicalCoords:
-    """cos(theta) = Z, phi = atan2(Y, X); phi := 0 at the poles by convention."""
-    if point.x == 0.0 and point.y == 0.0:
-        return CanonicalCoords(cos_theta=max(-1.0, min(1.0, point.z)), phi=0.0)
-    return CanonicalCoords(
-        cos_theta=max(-1.0, min(1.0, point.z)), phi=math.atan2(point.y, point.x)
-    )
-
-
-def from_canonical(coords: CanonicalCoords) -> SpherePoint:
-    if not -1.0 <= coords.cos_theta <= 1.0:
-        raise ValueError(f"|cos_theta| > 1: {coords.cos_theta}")
-    st = math.sqrt(max(0.0, 1.0 - coords.cos_theta * coords.cos_theta))
-    return SpherePoint(
-        st * math.cos(coords.phi), st * math.sin(coords.phi), coords.cos_theta
-    )
-
-
-def phase_portrait(
-    k: float, initial_conditions: Sequence[SpherePoint], n_iter: int
-) -> list:
-    """Orbit samples, one (n_iter + 1, 2) array of (cos theta, phi) rows per
-    initial condition; no transient is discarded."""
+def phase_portrait(k: float, initial_conditions: np.ndarray, n_iter: int) -> np.ndarray:
+    """(cos theta, phi) orbit samples of shape (M, n_iter + 1, 2) from M starts
+    (M, 3) on the unit sphere, all iterated together; no transient is
+    discarded."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    orbits = []
-    for p in initial_conditions:
-        samples = np.empty((n_iter + 1, 2))
-        cur = p
-        cc = to_canonical(cur)
-        samples[0] = (cc.cos_theta, cc.phi)
-        for i in range(1, n_iter + 1):
-            cur = single_map(cur, k)
-            cc = to_canonical(cur)
-            samples[i] = (cc.cos_theta, cc.phi)
-        orbits.append(samples)
-    return orbits
+    cur = np.asarray(initial_conditions, dtype=float)
+    if cur.ndim != 2 or cur.shape[1] != 3:
+        raise ValueError(f"initial conditions must have shape (M, 3), got {cur.shape}")
+    r2 = (cur * cur).sum(axis=1)
+    if not np.all(np.abs(r2 - 1.0) <= 1e-9):
+        raise ValueError("initial conditions not on the unit sphere")
+    samples = np.empty((len(cur), n_iter + 1, 2))
+    samples[:, 0] = to_canonical(cur)
+    for i in range(1, n_iter + 1):
+        cur = single_map(cur, k)
+        samples[:, i] = to_canonical(cur)
+    return samples
 
 
 def _poisson_tensor(v: np.ndarray) -> np.ndarray:
-    """Spin Poisson structure: {X,Y} = Z cyclically per sphere, zero across."""
+    """Spin Poisson structure of a coupled state (2, 3): {X,Y} = Z cyclically
+    per sphere, zero across."""
     b = np.zeros((6, 6))
-    for off in (0, 3):
-        x, y, z = v[off : off + 3]
-        blk = np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
-        b[off : off + 3, off : off + 3] = blk
+    for off, (x, y, z) in zip((0, 3), v):
+        b[off : off + 3, off : off + 3] = [[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]]
     return b
 
 
-def poisson_residual(
-    map_fn: Callable, state: CoupledClassicalState, h: float = 1e-5
-) -> float:
-    """Max-norm canonicity defect ||J B(x) J^T - B(x')|| of a 6D map.
+def poisson_residual(map_fn: Callable, state: np.ndarray, h: float = 1e-5) -> float:
+    """Max-norm canonicity defect ||J B(x) J^T - B(x')|| of a map of coupled
+    states (..., 2, 3), such as coupled_map with fixed k1, k2, epsilon.
 
-    J is the central-difference Jacobian of map_fn at the state, B the spin
-    Poisson tensor.  Exactly canonical maps give a residual at the
-    finite-difference floor (~1e-8 for h = 1e-5).
+    J is the central-difference Jacobian of map_fn at the state, from all 12
+    probe points mapped in one call; B is the spin Poisson tensor.  Exactly
+    canonical maps give a residual at the finite-difference floor (~1e-8 for
+    h = 1e-5).
     """
     if not 1e-7 <= h <= 1e-4:
         raise ValueError(f"h = {h} outside sane range [1e-7, 1e-4]")
-    x0 = np.concatenate([state.p1.as_array(), state.p2.as_array()])
-    jac = np.empty((6, 6))
-    for a in range(6):
-        dx = np.zeros(6)
-        dx[a] = h
-        jac[:, a] = (map_fn(x0 + dx) - map_fn(x0 - dx)) / (2.0 * h)
+    x0 = np.asarray(state, dtype=float)
+    dx = h * np.eye(6).reshape(6, 2, 3)
+    images = map_fn(np.concatenate([x0 + dx, x0 - dx])).reshape(12, 6)
+    jac = (images[:6] - images[6:]).T / (2.0 * h)
     b0 = _poisson_tensor(x0)
     b1 = _poisson_tensor(map_fn(x0))
     return float(np.abs(jac @ b0 @ jac.T - b1).max())

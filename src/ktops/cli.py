@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .classical import SpherePoint, phase_portrait
+from .classical import phase_portrait
 from .entangle import entropies, ks_exponential, reduce, schmidt
 from .evolve import (
     TopParams,
@@ -71,8 +71,29 @@ class RunConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.j < 0 or self.steps < 1 or self.stride < 1:
-            raise ConfigError("j must be nonnegative, steps and stride positive")
+        if self.j < 0:
+            raise ConfigError(f"j must be nonnegative, got {self.j}")
+        for key in ("steps", "stride", "n_theta", "n_phi", "portrait_grid",
+                    "portrait_iters", "ic_grid"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        reals = {"k": self.k, "k1": self.k1, "k2": self.k2, "eps": self.eps,
+                 "theta0": self.theta0, "phi0": self.phi0,
+                 "theta0_2": self.theta0_2, "phi0_2": self.phi0_2}
+        reals.update((f"eps_list[{i}]", e) for i, e in enumerate(self.eps_list or ()))
+        for key, val in reals.items():
+            if val is not None and not math.isfinite(val):
+                raise ConfigError(f"{key} must be finite, got {val}")
+        for key in ("theta0", "theta0_2"):
+            val = getattr(self, key)
+            if val is not None and not 0.0 <= val <= math.pi:
+                raise ConfigError(f"{key} must lie in [0, pi], got {val}")
+        for key in ("eps_list", "snapshots"):
+            val = getattr(self, key)
+            if val is not None and len(val) == 0:
+                raise ConfigError(f"{key} must not be empty")
+        if self.snapshots is not None and min(self.snapshots) < 0:
+            raise ConfigError(f"snapshots must be nonnegative, got {self.snapshots}")
         if self.stats_mode not in ("state", "rdm"):
             raise ConfigError(f"stats_mode must be 'state' or 'rdm', got {self.stats_mode!r}")
         if self.pool not in ("all", "top"):
@@ -369,17 +390,11 @@ def _run_portrait(cfg: RunConfig, outdir: Path) -> dict:
     g = cfg.portrait_grid
     cos_thetas = -1.0 + (np.arange(g) + 0.5) * 2.0 / g
     phis = -math.pi + (np.arange(g) + 0.5) * 2.0 * math.pi / g
-    ics = []
-    for ct in cos_thetas:
-        st = math.sqrt(max(0.0, 1.0 - ct * ct))
-        for ph in phis:
-            ics.append(SpherePoint(st * math.cos(ph), st * math.sin(ph), ct))
+    ct, ph = np.meshgrid(cos_thetas, phis, indexing="ij")
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    ics = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=-1).reshape(-1, 3)
     orbits = phase_portrait(cfg.k, ics, cfg.portrait_iters)
-    rows = (
-        (_fmt(phi), _fmt(ct))
-        for orbit in orbits
-        for ct, phi in orbit
-    )
+    rows = ((_fmt(phi), _fmt(ct)) for ct, phi in orbits.reshape(-1, 2))
     count = _write_table(outdir / "portrait_points.tsv", "# phi\tcos_theta", rows)
     return {"portrait_points.tsv": count}
 

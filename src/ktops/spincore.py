@@ -125,6 +125,9 @@ def wigner_d_half_pi(spin: SpinQuantum) -> WignerHalfPiMatrix:
     amplified by the dominant mode.  The m > 0 half is filled from the exact
     symmetry d_{s m} = (-1)^(s-m) d_{-s,-m}, which reads back into the stable
     half of the sweep.
+
+    The sweep overflows from j = 510 on; non-finite entries raise
+    FloatingPointError.
     """
     tj = spin.two_j
     n = spin.dim
@@ -132,25 +135,28 @@ def wigner_d_half_pi(spin: SpinQuantum) -> WignerHalfPiMatrix:
     m = spin.m_values()
     s_col = m.reshape(-1, 1)
 
-    v = np.empty((n, n))
-    v[:, 0] = 1.0
-    if n > 1:
-        v[:, 1] = 2.0 * m
-    for c in range(1, n - 1):
-        mc = m[c]
-        v[:, c + 1] = (2.0 * s_col[:, 0] * v[:, c] - (j - mc + 1.0) * v[:, c - 1]) / (
-            j + mc + 1.0
-        )
-
     ln_c = np.array([log_binomial(tj, idx) for idx in range(n)])  # ln C(2j, j+m)
     # C(2j, j-s) = C(2j, j+s) by symmetry, so the same table serves rows
     ln_pref = -j * math.log(2.0) + 0.5 * (ln_c.reshape(-1, 1) - ln_c.reshape(1, -1))
     idx = np.arange(n)
     sign = np.where(((idx.reshape(-1, 1) - idx.reshape(1, -1)) % 2) == 0, 1.0, -1.0)
-    d = sign * np.exp(ln_pref) * v
+
+    v = np.empty((n, n))
+    v[:, 0] = 1.0
+    if n > 1:
+        v[:, 1] = 2.0 * m
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        for c in range(1, n - 1):
+            mc = m[c]
+            v[:, c + 1] = (2.0 * s_col[:, 0] * v[:, c] - (j - mc + 1.0) * v[:, c - 1]) / (
+                j + mc + 1.0
+            )
+        d = sign * np.exp(ln_pref) * v
 
     half = (n + 1) // 2  # first column with m > 0
     d[:, half:] = (sign * d[::-1, ::-1])[:, half:]
+    if not np.isfinite(d).all():
+        raise FloatingPointError("wigner_d_half_pi overflowed; spin out of supported range")
 
     return WignerHalfPiMatrix(spin=spin, entries=d)
 

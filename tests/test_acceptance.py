@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ktops.classical import CoupledClassicalState, SpherePoint, coupled_map_array, poisson_residual
+from ktops.classical import poisson_residual
 from ktops.entangle import entropies, ks_exponential, reduce, schmidt
 from ktops.evolve import (
     CoupledParams,
@@ -32,7 +32,7 @@ from ktops.rmt import predictions, sr_weak_rate
 from ktops.spincore import SpinQuantum, coherent_amplitudes, wigner_d_half_pi
 from ktops.cli import RunConfig, rmt_compare_series, single_top_series
 
-from test_classical import wrong_coupled_map_array
+from test_classical import correct_map, wrong_coupled_map
 from test_spincore import wigner_entry_exact
 
 _RUNS: dict = {}
@@ -258,18 +258,16 @@ def test_criterion_09_canonicity_suite():
     def rand_state():
         v = rng.normal(size=3)
         w = rng.normal(size=3)
-        return CoupledClassicalState(
-            SpherePoint(*(v / np.linalg.norm(v))), SpherePoint(*(w / np.linalg.norm(w)))
-        )
+        return np.stack([v / np.linalg.norm(v), w / np.linalg.norm(w)])
 
     states = [rand_state() for _ in range(100)]
     worst = 0.0
     for k in (1.0, 2.0, 3.0, 6.0):
         for eps in (1e-2, 1e-3, 1e-4):
-            fn = coupled_map_array(k, k, eps)
+            fn = correct_map(k, k, eps)
             for s in states:
                 worst = max(worst, poisson_residual(fn, s))
-    bad_fn = wrong_coupled_map_array(6.0, 6.0, 0.1)
+    bad_fn = wrong_coupled_map(6.0, 6.0, 0.1)
     control = max(poisson_residual(bad_fn, s) for s in states[:25])
     ok = worst < 1e-6 and control > 1e-3
     _report(

@@ -120,12 +120,62 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["rmt-compare", "--j", "510", "--steps", "2", "--ic_grid", "1", "--eps_list", "0.01"],
+        ["husimi", "--j", "510", "--steps", "1", "--snapshots", "1",
+         "--n_theta", "2", "--n_phi", "2"],
+    ])
+    def test_wigner_overflow_is_numeric_range_error(self, tmp_path, capsys, argv):
+        # wigner_d_half_pi overflows at j = 510: no NaN row, no data file
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric range error")
+        assert list(tmp_path.iterdir()) == []
+
     def test_every_field_is_a_flag(self, tmp_path):
         main(["rmt-compare", "--j", "4", "--steps", "3", "--ic_grid", "1",
               "--eps_list", "0.001,0.01", "--out", str(tmp_path)])
         text = (tmp_path / "rmt_compare_manifest.txt").read_text()
         cfg = config_from_manifest_text(text)
         assert (cfg.ic_grid, cfg.eps_list) == (1, (0.001, 0.01))
+
+
+REJECTED_INPUTS = [
+    ["stats", "--snapshots=-3"],
+    ["husimi", "--snapshots=-3"],
+    ["husimi", "--snapshots", "0,-1"],
+    ["stats", "--snapshots", ","],
+    ["rmt-compare", "--eps_list", ","],
+    ["rmt-compare", "--ic_grid", "0"],
+    ["portrait", "--portrait_grid", "0"],
+    ["portrait", "--portrait_grid=-2"],
+    ["portrait", "--portrait_iters", "0"],
+    ["husimi", "--n_theta", "0"],
+    ["husimi", "--n_phi", "0"],
+    ["evolve", "--steps", "0"],
+    ["evolve", "--stride", "0"],
+    ["evolve", "--j=-1"],
+    ["evolve", "--theta0", "4"],
+    ["evolve", "--theta0=-0.1"],
+    ["evolve", "--theta0_2", "3.2"],
+    ["evolve", "--theta0", "nan"],
+    ["evolve", "--phi0", "inf"],
+    ["evolve", "--phi0_2", "nan"],
+    ["evolve", "--eps", "nan"],
+    ["evolve", "--k", "inf"],
+    ["evolve", "--k1", "nan"],
+    ["evolve", "--k2=-inf"],
+    ["rmt-compare", "--eps_list", "0.01,nan"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_INPUTS, ids=" ".join)
+def test_rejected_input_is_config_error(tmp_path, capsys, argv):
+    # small defaults first; argparse keeps the last value, so the case's wins
+    kind, *flags = argv
+    assert main([kind, "--j", "4", "--steps", "3", *flags, "--out", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.tsv")) == []
 
 
 class TestRunEvolve:

@@ -126,6 +126,16 @@ class TestWignerHalfPi:
             worst = max(worst, np.abs(d @ d.T - np.eye(n)).max())
         assert worst < 1e-11
 
+    def test_finite_and_orthogonal_at_j_500(self):
+        d = wigner_d_half_pi(SpinQuantum(1000)).entries
+        assert np.isfinite(d).all()
+        assert np.abs(d @ d.T - np.eye(1001)).max() < 1e-10
+
+    def test_overflow_raises(self):
+        # the sweep overflows at j = 510; no NaN matrix is returned
+        with pytest.raises(FloatingPointError):
+            wigner_d_half_pi(SpinQuantum(1020))
+
     def test_unit_columns(self):
         d = wigner_d_half_pi(SpinQuantum(21)).entries
         np.testing.assert_allclose(np.linalg.norm(d, axis=0), 1.0, atol=1e-12)
