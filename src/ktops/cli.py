@@ -330,10 +330,8 @@ def rmt_compare_series(cfg: RunConfig, eps: float) -> dict:
     return {
         "n": n_arr,
         "sr_measured": acc,
-        "sr_exact_sum": np.array([sr_analytic(n, spin, eps, "exact-sum") for n in n_arr]),
-        "sr_closed_form": np.array(
-            [sr_analytic(n, spin, eps, "closed-form") for n in n_arr]
-        ),
+        "sr_exact_sum": sr_analytic(n_arr, spin, eps, "exact-sum"),
+        "sr_closed_form": sr_analytic(n_arr, spin, eps, "closed-form"),
         "ic_thetas": thetas,
         "ic_phis": phis,
     }
@@ -360,7 +358,7 @@ def stats_components(cfg: RunConfig) -> np.ndarray:
         for n, st in _coupled_trajectory(cfg, max(snaps)):
             if n not in snaps:
                 continue
-            spec = schmidt(reduce(st, 1))
+            spec = schmidt(reduce(st, 1), vectors=True)
             cols = spec.eigenvectors.shape[1]
             take = cols if cfg.pool == "all" else max(1, cols // 2)
             for col in range(take):

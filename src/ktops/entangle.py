@@ -1,10 +1,10 @@
 """Partial trace, Schmidt spectra, entanglement entropies, and the
-eigenvector-statistics diagnostics of saturated chaotic states."""
+Kolmogorov-Smirnov statistic of eigenvector components."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -12,6 +12,11 @@ from .evolve import PureState
 from .spincore import SpinQuantum
 
 _HERMITICITY_TOL = 1e-10
+
+
+def _check_hermitian(entries: np.ndarray, what: str) -> None:
+    if np.abs(entries - entries.conj().T).max() > _HERMITICITY_TOL:
+        raise ValueError(f"{what} not Hermitian within tolerance")
 
 
 @dataclass(frozen=True)
@@ -23,8 +28,7 @@ class ReducedDensityMatrix:
         n = self.spin.dim
         if self.entries.shape != (n, n):
             raise ValueError(f"RDM must be {n}x{n}")
-        if np.abs(self.entries - self.entries.conj().T).max() > _HERMITICITY_TOL:
-            raise ValueError("RDM not Hermitian within tolerance")
+        _check_hermitian(self.entries, "RDM")
         tr = np.trace(self.entries).real
         if abs(tr - 1.0) > 1e-8:
             raise ValueError(f"RDM trace {tr!r} too far from 1")
@@ -32,7 +36,8 @@ class ReducedDensityMatrix:
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Eigenvalues (descending, clipped at 0) and eigenvectors of an RDM.
+    """Eigenvalues (descending, clipped at 0) and, when asked for, the
+    eigenvectors of an RDM as columns in the same order (else None).
 
     clip_magnitude records the largest negative eigenvalue removed by
     clipping; roundoff-scale values (< 1e-10) are expected, anything larger
@@ -40,17 +45,8 @@ class SchmidtSpectrum:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: Optional[np.ndarray]
     clip_magnitude: float
-
-
-@dataclass(frozen=True)
-class ComponentStats:
-    mean_re: float
-    var_re: float
-    mean_im: float
-    var_im: float
-    ks_exponential: float
 
 
 def reduce(state: PureState, subsystem: int) -> ReducedDensityMatrix:
@@ -65,14 +61,28 @@ def reduce(state: PureState, subsystem: int) -> ReducedDensityMatrix:
     return ReducedDensityMatrix(spin=state.spin, entries=rho)
 
 
-def schmidt(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> SchmidtSpectrum:
-    """Full Hermitian eigendecomposition, eigenvalues descending."""
-    entries = rdm.entries if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm)
-    if np.abs(entries - entries.conj().T).max() > _HERMITICITY_TOL:
-        raise ValueError("matrix not Hermitian within tolerance")
-    w, v = np.linalg.eigh(entries)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+def rdm_entries(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> np.ndarray:
+    """The matrix of an RDM.  A ReducedDensityMatrix was checked when it was
+    built; a raw array is checked for Hermiticity here."""
+    if isinstance(rdm, ReducedDensityMatrix):
+        return rdm.entries
+    entries = np.asarray(rdm)
+    _check_hermitian(entries, "matrix")
+    return entries
+
+
+def schmidt(
+    rdm: Union[ReducedDensityMatrix, np.ndarray], *, vectors: bool = False
+) -> SchmidtSpectrum:
+    """Hermitian eigenvalues, descending; the eigenvectors only if vectors is
+    set, since the eigenvalue-only solver costs about half as much."""
+    entries = rdm_entries(rdm)
+    if vectors:
+        w, v = np.linalg.eigh(entries)
+        v = v[:, ::-1].copy()
+    else:
+        w, v = np.linalg.eigvalsh(entries), None
+    w = w[::-1]
     clip = float(max(0.0, -w.min())) if w.size else 0.0
     return SchmidtSpectrum(eigenvalues=np.maximum(w, 0.0), eigenvectors=v, clip_magnitude=clip)
 
@@ -86,19 +96,6 @@ def entropies(spectrum: SchmidtSpectrum) -> Tuple[float, float]:
     return s_v, s_r
 
 
-def linear_entropy_direct(state: PureState, subsystem: int = 1) -> float:
-    """1 - Tr rho^2 without an eigendecomposition (Frobenius norm of the RDM)."""
-    rho = reduce(state, subsystem).entries
-    return float(1.0 - (np.abs(rho) ** 2).sum())
-
-
-def subsystem_symmetry_check(state: PureState) -> float:
-    """|S_V(rho_1) - S_V(rho_2)|; zero for any exact Schmidt decomposition."""
-    sv1, _ = entropies(schmidt(reduce(state, 1)))
-    sv2, _ = entropies(schmidt(reduce(state, 2)))
-    return abs(sv1 - sv2)
-
-
 def ks_exponential(values: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov statistic against the unit exponential."""
     x = np.sort(np.asarray(values, dtype=float))
@@ -107,23 +104,3 @@ def ks_exponential(values: np.ndarray) -> float:
     i = np.arange(1, n + 1)
     return float(np.maximum(i / n - cdf, cdf - (i - 1) / n).max())
 
-
-def component_statistics(vector: np.ndarray) -> ComponentStats:
-    """Moments of Re/Im parts and the KS statistic of N |c|^2 vs Exp(1).
-
-    GUE-distributed vectors give Gaussian components and exponential N |c|^2;
-    the asymptotic 5% KS band is 1.36 / sqrt(N).
-    """
-    v = np.asarray(vector)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"vector norm {nrm!r} too far from 1")
-    n = len(v)
-    scaled = n * np.abs(v) ** 2
-    return ComponentStats(
-        mean_re=float(v.real.mean()),
-        var_re=float(v.real.var()),
-        mean_im=float(v.imag.mean()),
-        var_im=float(v.imag.var()),
-        ks_exponential=ks_exponential(scaled),
-    )

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .entangle import ReducedDensityMatrix
+from .entangle import ReducedDensityMatrix, rdm_entries
 from .spincore import SpinQuantum, coherent_amplitude_block, log_binomial, log_factorial
 
 _IMAG_TOL = 1e-10
@@ -86,23 +87,6 @@ class FWeightTable:
             [log_factorial(2 * tj - s) + log_factorial(s) for s in s_idx]
         )
 
-    def value(self, i: float, k: float, l: float, m: float) -> float:
-        tj = self.spin.two_j
-        j = self.spin.j
-        idx = []
-        for q in (i, k, l, m):
-            two_q = round(2.0 * q)
-            if abs(two_q - 2.0 * q) > 1e-9 or abs(two_q) > tj or (two_q - tj) % 2 != 0:
-                raise ValueError(f"magnetic index {q} invalid for j = {j}")
-            idx.append((two_q + tj) // 2)
-        s_idx = idx[0] + idx[2]  # (i + l) + 2j
-        # pairwise grouping keeps the (i,k) <-> (l,m) exchange exact in floats
-        ln_f = (
-            (self.half_ln_binom[idx[0]] + self.half_ln_binom[idx[1]])
-            + (self.half_ln_binom[idx[2]] + self.half_ln_binom[idx[3]])
-        ) + self.ln_s_weight[s_idx]
-        return float(math.exp(ln_f))
-
 
 _F_TABLES: dict = {}
 
@@ -113,11 +97,6 @@ def _f_table(spin: SpinQuantum) -> FWeightTable:
         tab = FWeightTable(spin)
         _F_TABLES[spin.two_j] = tab
     return tab
-
-
-def f_weight(spin: SpinQuantum, i: float, k: float, l: float, m: float) -> float:
-    """F(2j; i, k, l, m); the selection rule i + l = k + m is the caller's."""
-    return _f_table(spin).value(i, k, l, m)
 
 
 def _spin_for_dim(n: int) -> SpinQuantum:
@@ -146,30 +125,40 @@ def m2_pure(vector: np.ndarray) -> float:
     return m2
 
 
+def _skew(x: np.ndarray) -> np.ndarray:
+    """skew(x)[i, t] = x[i, i + t - (n-1)], zero outside x; shape n x (2n-1).
+
+    Row i of a zero-padded copy, read from column i on: one strided view."""
+    n = x.shape[0]
+    padded = np.zeros((n, 3 * n - 2), dtype=x.dtype)
+    padded[:, n - 1 : 2 * n - 1] = x
+    row, col = padded.strides
+    return as_strided(padded, shape=(n, 2 * n - 1), strides=(row + col, col), writeable=False)
+
+
 def m2_rdm(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> float:
     """Analytic second moment of the Husimi function of a density matrix.
 
-    Per diagonal sum s this is a two-dimensional correlation
-    T(s) = sum_{i,k} B_{ik} B_{s-i,s-k} of B = rho * sqrt(C C'); the imaginary
-    residue of the analytically real total is asserted small, then dropped.
-    The entries of B grow like C(2j, j), so at large j the products overflow;
-    a non-finite total raises FloatingPointError.
+    Per diagonal sum a this is a two-dimensional correlation
+    T(a) = sum_{i,k} B_{ik} B_{a-i,a-k} of B = rho * sqrt(C C').  With F = B
+    flipped on both axes, T(a) = sum_i G[i, i+s] at s = n-1-a, where
+    G = skew(B) skew(F)^T is one complex matrix product; the diagonal sums of
+    G are the column sums of skew(G).  The imaginary residue of the
+    analytically real total is asserted small, then dropped.  The entries of
+    B grow like C(2j, j), so at large j the products overflow; a non-finite
+    total raises FloatingPointError.
     """
-    entries = rdm.entries if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm)
+    entries = rdm_entries(rdm)
     n = entries.shape[0]
     spin = _spin_for_dim(n)
     tab = _f_table(spin)
     half = np.exp(tab.half_ln_binom)
     w = np.exp(tab.ln_s_weight)
-    total = 0.0 + 0.0j
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
         b = entries * np.outer(half, half)
-        for a in range(2 * n - 1):
-            lo = max(0, a - (n - 1))
-            hi = min(n - 1, a)
-            sub = b[lo : hi + 1, lo : hi + 1]
-            mirrored = b[a - hi : a - lo + 1, a - hi : a - lo + 1][::-1, ::-1]
-            total += w[a] * (sub * mirrored).sum()
+        g = _skew(b) @ _skew(b[::-1, ::-1]).T
+        t = _skew(g).sum(axis=0)[::-1]  # t[a] = T(a)
+        total = complex(w @ t)
     if not cmath.isfinite(total):
         raise FloatingPointError("m2_rdm overflowed; spin out of supported range")
     if abs(total.imag) > _IMAG_TOL:

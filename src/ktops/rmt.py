@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from scipy.special import sici
@@ -146,20 +147,26 @@ def _sr_closed_bracket(n: int, epsilon: float) -> float:
     return float(lead - corr)
 
 
-def sr_analytic(n_step: int, spin: SpinQuantum, epsilon: float, mode: str = "exact-sum") -> float:
+def sr_analytic(
+    n_step: Union[int, np.ndarray], spin: SpinQuantum, epsilon: float, mode: str = "exact-sum"
+) -> Union[float, np.ndarray]:
     """Long-time linear entropy S_R(n) = 1 - p(eps)^(4(n-1)) * bracket.
 
     mode "exact-sum" evaluates both p and the bracket by the exact O(j^2)
     phase sums; mode "closed-form" uses the Si/Ci expressions (with the
     unsimplified p, which stays <= 1).  The symmetric magnetic spectrum makes
     p real, so the power needs no modulus.  eps = 0 gives 0 for all n.
+    n_step may be an array of steps: p and the bracket do not depend on n, so
+    they are evaluated once and an array of the same shape is returned; a
+    scalar n_step gives a float.
     """
-    if n_step < 1:
+    steps = np.asarray(n_step)
+    if (steps < 1).any():
         raise ValueError("step index must be >= 1")
-    if epsilon == 0.0:
-        return 0.0
     n = spin.dim
-    if mode == "exact-sum":
+    if epsilon == 0.0:
+        p, bracket = 1.0, 1.0  # S_R = 0 at every step
+    elif mode == "exact-sum":
         p = p_epsilon_exact(spin, epsilon)
         bracket = _sr_exact_bracket(spin, epsilon)
     elif mode == "closed-form":
@@ -167,7 +174,8 @@ def sr_analytic(n_step: int, spin: SpinQuantum, epsilon: float, mode: str = "exa
         bracket = _sr_closed_bracket(n, epsilon)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return float(1.0 - p ** (4 * (n_step - 1)) * bracket)
+    out = 1.0 - p ** (4 * (steps - 1)) * bracket
+    return float(out) if steps.ndim == 0 else out
 
 
 def sr_weak_rate(spin: SpinQuantum, epsilon: float) -> float:

@@ -321,7 +321,7 @@ def test_criterion_11_gue_statistics():
 
     # pooled eigenvector components of the saturated RDM
     run = coupled_run(80, 6.0, 6.0, 1e-2)
-    spec = schmidt(reduce(run["final_state"], 1))
+    spec = schmidt(reduce(run["final_state"], 1), vectors=True)
     pooled = spec.eigenvectors.T.ravel()
     ks_rdm = ks_exponential(161 * np.abs(pooled) ** 2)
 

@@ -1,19 +1,19 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktops import entangle
+from ktops.cli import RunConfig, entropy_series
 from ktops.entangle import (
     ReducedDensityMatrix,
-    component_statistics,
     entropies,
     ks_exponential,
-    linear_entropy_direct,
     reduce,
     schmidt,
-    subsystem_symmetry_check,
 )
 from ktops.evolve import (
     CoupledParams,
@@ -22,6 +22,7 @@ from ktops.evolve import (
     evolve,
     initial_product_state,
 )
+from ktops.husimi import m2_rdm
 from ktops.spincore import SpinQuantum
 
 
@@ -31,6 +32,49 @@ def random_state(spin, seed=0) -> PureState:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a /= np.linalg.norm(a)
     return PureState(spin=spin, amplitudes=a)
+
+
+def linear_entropy_direct(state: PureState, subsystem: int = 1) -> float:
+    """1 - Tr rho^2 without an eigendecomposition (Frobenius norm of the RDM)."""
+    rho = reduce(state, subsystem).entries
+    return float(1.0 - (np.abs(rho) ** 2).sum())
+
+
+def subsystem_symmetry_check(state: PureState) -> float:
+    """|S_V(rho_1) - S_V(rho_2)|; zero for any exact Schmidt decomposition."""
+    sv1, _ = entropies(schmidt(reduce(state, 1)))
+    sv2, _ = entropies(schmidt(reduce(state, 2)))
+    return abs(sv1 - sv2)
+
+
+@dataclass(frozen=True)
+class ComponentStats:
+    mean_re: float
+    var_re: float
+    mean_im: float
+    var_im: float
+    ks_exponential: float
+
+
+def component_statistics(vector: np.ndarray) -> ComponentStats:
+    """Moments of Re/Im parts and the KS statistic of N |c|^2 vs Exp(1).
+
+    GUE-distributed vectors give Gaussian components and exponential N |c|^2;
+    the asymptotic 5% KS band is 1.36 / sqrt(N).
+    """
+    v = np.asarray(vector)
+    nrm = np.linalg.norm(v)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"vector norm {nrm!r} too far from 1")
+    n = len(v)
+    scaled = n * np.abs(v) ** 2
+    return ComponentStats(
+        mean_re=float(v.real.mean()),
+        var_re=float(v.real.var()),
+        mean_im=float(v.imag.mean()),
+        var_im=float(v.imag.var()),
+        ks_exponential=ks_exponential(scaled),
+    )
 
 
 def brute_force_partial_trace(a: np.ndarray, subsystem: int) -> np.ndarray:
@@ -101,7 +145,7 @@ class TestSchmidt:
     def test_reconstruction_and_residuals(self):
         state = random_state(SpinQuantum(40), 7)
         rdm = reduce(state, 1)
-        spec = schmidt(rdm)
+        spec = schmidt(rdm, vectors=True)
         v, lam = spec.eigenvectors, spec.eigenvalues
         assert np.abs(v @ np.diag(lam) @ v.conj().T - rdm.entries).max() < 1e-9
         assert np.abs(v.conj().T @ v - np.eye(len(lam))).max() < 1e-10
@@ -119,8 +163,38 @@ class TestSchmidt:
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            schmidt(bad)
+        for vectors in (False, True):
+            with pytest.raises(ValueError):
+                schmidt(bad, vectors=vectors)
+
+    def test_eigenvalues_only_match_eigh(self):
+        for seed in range(8):
+            rdm = reduce(random_state(SpinQuantum(80), seed), 1)  # j = 40
+            fast, full = schmidt(rdm), schmidt(rdm, vectors=True)
+            assert fast.eigenvectors is None
+            assert full.eigenvectors.shape == (81, 81)
+            np.testing.assert_allclose(fast.eigenvalues, full.eigenvalues, rtol=0, atol=1e-13)
+            assert abs(fast.clip_magnitude - full.clip_magnitude) < 1e-13
+
+    def test_rdm_checked_once_per_step(self, monkeypatch):
+        # the RDM is checked when reduce() builds it; schmidt and m2_rdm trust
+        # a ReducedDensityMatrix and check only a raw array
+        checked = []
+        real_check = entangle._check_hermitian
+
+        def counting_check(entries, what):
+            checked.append(what)
+            real_check(entries, what)
+
+        monkeypatch.setattr(entangle, "_check_hermitian", counting_check)
+        series = entropy_series(RunConfig(kind="evolve", j=4, steps=6))
+        assert list(series["n"]) == [1, 2, 3, 4, 5, 6]
+        assert checked == ["RDM"] * 6
+        rho = reduce(random_state(SpinQuantum(4), 1), 1)
+        checked.clear()
+        schmidt(rho.entries)
+        m2_rdm(rho.entries)
+        assert checked == ["matrix", "matrix"]
 
 
 class TestEntropies:

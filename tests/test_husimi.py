@@ -9,7 +9,6 @@ from ktops.husimi import (
     FWeightTable,
     SphericalGrid,
     delta_n_eff,
-    f_weight,
     gamma_factor,
     husimi_field,
     m2_pure,
@@ -23,6 +22,55 @@ def random_vector(n, seed=0):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def f_value(table: FWeightTable, i: float, k: float, l: float, m: float) -> float:
+    """F(2j; i, k, l, m) from the table's log-space pieces; the selection rule
+    i + l = k + m is the caller's."""
+    tj = table.spin.two_j
+    idx = []
+    for q in (i, k, l, m):
+        two_q = round(2.0 * q)
+        if abs(two_q - 2.0 * q) > 1e-9 or abs(two_q) > tj or (two_q - tj) % 2 != 0:
+            raise ValueError(f"magnetic index {q} invalid for j = {table.spin.j}")
+        idx.append((two_q + tj) // 2)
+    s_idx = idx[0] + idx[2]  # (i + l) + 2j
+    # pairwise grouping keeps the (i,k) <-> (l,m) exchange exact in floats
+    ln_f = (
+        (table.half_ln_binom[idx[0]] + table.half_ln_binom[idx[1]])
+        + (table.half_ln_binom[idx[2]] + table.half_ln_binom[idx[3]])
+    ) + table.ln_s_weight[s_idx]
+    return float(math.exp(ln_f))
+
+
+def f_weight(spin: SpinQuantum, i: float, k: float, l: float, m: float) -> float:
+    return f_value(FWeightTable(spin), i, k, l, m)
+
+
+def m2_rdm_loop(entries: np.ndarray) -> complex:
+    """M2 of a density matrix as one correlation per diagonal sum a:
+    sum_a w_a sum_{i,k} B_{ik} B_{a-i,a-k}, slice by slice (2N - 1 slices).
+    The oracle for m2_rdm; returns the complex total, residue included."""
+    n = entries.shape[0]
+    tab = FWeightTable(SpinQuantum(n - 1))
+    half = np.exp(tab.half_ln_binom)
+    w = np.exp(tab.ln_s_weight)
+    total = 0.0 + 0.0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = entries * np.outer(half, half)
+        for a in range(2 * n - 1):
+            lo = max(0, a - (n - 1))
+            hi = min(n - 1, a)
+            sub = b[lo : hi + 1, lo : hi + 1]
+            mirrored = b[a - hi : a - lo + 1, a - hi : a - lo + 1][::-1, ::-1]
+            total += w[a] * (sub * mirrored).sum()
+    return total
+
+
+def evolved_rdm(spin: SpinQuantum, steps: int):
+    params = CoupledParams(TopParams(spin, 6.0), TopParams(spin, 6.0), 1e-2)
+    state = evolve(initial_product_state(spin, 0.89, 0.63, 0.89, 0.63), params, steps)
+    return reduce(state, 1)
 
 
 class TestFWeight:
@@ -39,7 +87,7 @@ class TestFWeight:
         table = FWeightTable(spin)
         for args in [(1, 2, -1, 0), (4, -4, 0, 0), (3, 1, -2, 0)]:
             i, k, l, m = args
-            assert table.value(i, k, l, m) == table.value(l, m, i, k)
+            assert f_value(table, i, k, l, m) == f_value(table, l, m, i, k)
 
     def test_positive_on_constrained_tuples(self):
         spin = SpinQuantum(5)
@@ -107,13 +155,33 @@ class TestM2Rdm:
         assert m2_rdm(rdm) == pytest.approx(m2_rdm(rdm.entries), abs=1e-16)
 
     def test_overflow_raises(self):
-        # at j = 280 the binomial-weighted sums of an evolved state overflow;
+        # from j = 270 the binomial-weighted sums of an evolved state overflow;
         # the non-finite total must raise, not come back as NaN
-        spin = SpinQuantum.from_j(280)
-        params = CoupledParams(TopParams(spin, 6.0), TopParams(spin, 6.0), 1e-2)
-        state = evolve(initial_product_state(spin, 0.89, 0.63, 0.89, 0.63), params, 20)
-        with pytest.raises(FloatingPointError, match="m2_rdm"):
-            m2_rdm(reduce(state, 1))
+        for j in (270, 280):
+            rdm = evolved_rdm(SpinQuantum.from_j(j), 20)
+            with pytest.raises(FloatingPointError, match="m2_rdm"):
+                m2_rdm(rdm)
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 10, 40, 160, 400, 520])
+    def test_matches_slice_loop(self, two_j):
+        # j = 0 ... 260, half-integer j included: random mixed RDMs and an
+        # evolved coupled-top RDM against the slice-by-slice oracle
+        spin = SpinQuantum(two_j)
+        n = spin.dim
+        rng = np.random.default_rng(two_j)
+        rdms = [evolved_rdm(spin, 20).entries]
+        for _ in range(2):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            a /= np.linalg.norm(a)
+            rdms.append(a @ a.conj().T)
+        for rho in rdms:
+            want = m2_rdm_loop(rho)
+            assert np.isfinite(want) and abs(want.imag) < 1e-10
+            assert m2_rdm(rho) == pytest.approx(want.real, rel=1e-12, abs=0)
+
+    def test_rejects_non_hermitian_array(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            m2_rdm(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
 
 
 class TestQuadratureOracle:

@@ -183,9 +183,21 @@ class TestSrAnalytic:
         slope = (s[2] - s[1]) / 9.0
         assert slope == pytest.approx(sr_weak_rate(SPIN80, eps), rel=0.2)
 
+    @pytest.mark.parametrize("mode", ["exact-sum", "closed-form"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-2])
+    def test_array_of_steps_matches_scalar_calls(self, mode, eps):
+        steps = np.arange(1, 301).reshape(20, 15)
+        vals = sr_analytic(steps, SPIN80, eps, mode)
+        assert isinstance(vals, np.ndarray) and vals.shape == (20, 15)
+        scalar = [sr_analytic(int(n), SPIN80, eps, mode) for n in steps.ravel()]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_array_equal(vals.ravel(), scalar)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             sr_analytic(0, SPIN80, 1e-2)
+        with pytest.raises(ValueError):
+            sr_analytic(np.array([1, 2, 0]), SPIN80, 1e-2)
         with pytest.raises(ValueError):
             sr_analytic(5, SPIN80, 1e-2, "magic")
 
