@@ -71,12 +71,13 @@ def build_single_propagator(params: TopParams) -> SinglePropagator:
     m = spin.m_values()
     # torsion phase exp(-i k m^2 / 2j); the j = 0 top has no torsion axis
     if spin.two_j > 0:
-        kick = np.exp(-1j * params.k * m * m / spin.two_j)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+            kick = np.exp(-1j * params.k * m * m / spin.two_j)
+        if not np.isfinite(kick).all():
+            raise FloatingPointError("kick phases overflowed; k out of supported range")
     else:
         kick = np.ones(1, dtype=complex)
-    return SinglePropagator(
-        spin=spin, matrix=kick.reshape(-1, 1) * wigner_d_half_pi(spin).entries
-    )
+    return SinglePropagator(spin=spin, matrix=kick.reshape(-1, 1) * wigner_d_half_pi(spin))
 
 
 def coupling_phase_matrix(spin: SpinQuantum, epsilon: float) -> np.ndarray:
@@ -84,7 +85,11 @@ def coupling_phase_matrix(spin: SpinQuantum, epsilon: float) -> np.ndarray:
     if spin.two_j == 0:
         return np.ones((1, 1), dtype=complex)
     m = spin.m_values()
-    return np.exp(-2j * epsilon / spin.two_j * np.outer(m, m))
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        phases = np.exp(-2j * epsilon / spin.two_j * np.outer(m, m))
+    if not np.isfinite(phases).all():
+        raise FloatingPointError("coupling phases overflowed; eps out of supported range")
+    return phases
 
 
 def initial_product_state(

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .entangle import ReducedDensityMatrix, rdm_entries
-from .spincore import SpinQuantum, coherent_amplitude_block, log_binomial, log_factorial
+from .spincore import SpinQuantum, coherent_amplitude_block, ln_binomials, ln_factorials
 
 _IMAG_TOL = 1e-10
 
@@ -79,13 +79,10 @@ class FWeightTable:
     def __init__(self, spin: SpinQuantum):
         self.spin = spin
         tj = spin.two_j
-        n = spin.dim
-        self.half_ln_binom = 0.5 * np.array([log_binomial(tj, idx) for idx in range(n)])
-        ln_pref = math.log(n) - log_factorial(2 * tj + 1)
+        self.half_ln_binom = 0.5 * ln_binomials(tj)
+        lf = ln_factorials(2 * tj + 1)
         s_idx = np.arange(2 * tj + 1)  # s + 2j
-        self.ln_s_weight = ln_pref + np.array(
-            [log_factorial(2 * tj - s) + log_factorial(s) for s in s_idx]
-        )
+        self.ln_s_weight = (math.log(spin.dim) - lf[-1]) + (lf[2 * tj - s_idx] + lf[s_idx])
 
 
 _F_TABLES: dict = {}

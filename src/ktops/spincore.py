@@ -48,117 +48,35 @@ class SpinQuantum:
         return np.arange(self.dim) - self.j
 
 
-class LogFactorialTable:
-    """values[n] = ln(n!), built by cumulative summation of ln(i)."""
-
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        self.values = np.zeros(n_max + 1)
-        if n_max >= 1:
-            self.values[1:] = np.cumsum(np.log(np.arange(1, n_max + 1, dtype=float)))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def log_factorial(self, n: int) -> float:
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"n = {n} outside table range [0, {self.n_max}]")
-        return float(self.values[n])
-
-    def log_binomial(self, n: int, k: int) -> float:
-        if k < 0 or n < 0 or k > n:
-            raise ValueError(f"invalid binomial arguments n = {n}, k = {k}")
-        if n > self.n_max:
-            raise ValueError(f"n = {n} outside table range [0, {self.n_max}]")
-        # symmetric evaluation order, so (n, k) and (n, n-k) give identical floats
-        lo, hi = min(k, n - k), max(k, n - k)
-        return float(self.values[n] - self.values[lo] - self.values[hi])
+def ln_factorials(n: int) -> np.ndarray:
+    """lf[i] = ln(i!) for i = 0..n, a running sum of ln i."""
+    lf = np.zeros(n + 1)
+    lf[1:] = np.cumsum(np.log(np.arange(1, n + 1, dtype=float)))
+    return lf
 
 
-_TABLE = LogFactorialTable(512)
+def ln_binomials(two_j: int) -> np.ndarray:
+    """ln C(2j, k) for k = 0..2j; k and 2j - k give identical floats."""
+    lf = ln_factorials(two_j)
+    k = np.arange(two_j + 1)
+    lo = np.minimum(k, two_j - k)
+    return lf[two_j] - lf[lo] - lf[two_j - lo]
 
 
-def _table_covering(n: int) -> LogFactorialTable:
-    global _TABLE
-    if n > _TABLE.n_max:
-        _TABLE = LogFactorialTable(max(n, 2 * _TABLE.n_max))
-    return _TABLE
+def wigner_d_half_pi(spin: SpinQuantum) -> np.ndarray:
+    """Real orthogonal matrix d[s + j, m + j] = d^(j)_{s m}(pi/2).
 
-
-def log_factorial(n: int) -> float:
-    """ln(n!) for nonnegative integer n."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _table_covering(n).log_factorial(n)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k); raises on k > n or negative input."""
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"invalid binomial arguments n = {n}, k = {k}")
-    return _table_covering(n).log_binomial(n, k)
-
-
-@dataclass(frozen=True)
-class WignerHalfPiMatrix:
-    """Real orthogonal matrix with entries[s + j, m + j] = d^(j)_{s m}(pi/2)."""
-
-    spin: SpinQuantum
-    entries: np.ndarray
-
-
-def wigner_d_half_pi(spin: SpinQuantum) -> WignerHalfPiMatrix:
-    """Wigner rotation matrix at beta = pi/2 via the three-term recursion.
-
-    For each row s the inner alternating binomial sum V_m obeys
-
-        (j - m + 1) V_{m-1} - 2 s V_m + (j + m + 1) V_{m+1} = 0
-
-    seeded by V_{-j} = 1, V_{-j+1} = 2s.  The prefactor
-    (-1)^(s-m) 2^(-j) sqrt(C(2j, j-s) / C(2j, j+m)) is assembled in log space
-    with the sign tracked separately.
-
-    The forward sweep is only accurate on the m <= 0 half: for large |s| the
-    true solution becomes recessive late in the sweep and roundoff gets
-    amplified by the dominant mode.  The m > 0 half is filled from the exact
-    symmetry d_{s m} = (-1)^(s-m) d_{-s,-m}, which reads back into the stable
-    half of the sweep.
-
-    The sweep overflows from j = 510 on; non-finite entries raise
-    FloatingPointError.
+    d = exp(-i pi Jz/2) exp(-i pi Jx/2) exp(+i pi Jz/2), with exp(-i pi Jx/2)
+    from the eigenvectors of the real tridiagonal Jx, whose eigenvalues are
+    exactly m (Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)).  No entry
+    grows beyond 1, so the matrix stays finite at any j.
     """
-    tj = spin.two_j
-    n = spin.dim
     j = spin.j
     m = spin.m_values()
-    s_col = m.reshape(-1, 1)
-
-    ln_c = np.array([log_binomial(tj, idx) for idx in range(n)])  # ln C(2j, j+m)
-    # C(2j, j-s) = C(2j, j+s) by symmetry, so the same table serves rows
-    ln_pref = -j * math.log(2.0) + 0.5 * (ln_c.reshape(-1, 1) - ln_c.reshape(1, -1))
-    idx = np.arange(n)
-    sign = np.where(((idx.reshape(-1, 1) - idx.reshape(1, -1)) % 2) == 0, 1.0, -1.0)
-
-    v = np.empty((n, n))
-    v[:, 0] = 1.0
-    if n > 1:
-        v[:, 1] = 2.0 * m
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
-        for c in range(1, n - 1):
-            mc = m[c]
-            v[:, c + 1] = (2.0 * s_col[:, 0] * v[:, c] - (j - mc + 1.0) * v[:, c - 1]) / (
-                j + mc + 1.0
-            )
-        d = sign * np.exp(ln_pref) * v
-
-    half = (n + 1) // 2  # first column with m > 0
-    d[:, half:] = (sign * d[::-1, ::-1])[:, half:]
-    if not np.isfinite(d).all():
-        raise FloatingPointError("wigner_d_half_pi overflowed; spin out of supported range")
-
-    return WignerHalfPiMatrix(spin=spin, entries=d)
+    off = 0.5 * np.sqrt((j - m[:-1]) * (j + m[:-1] + 1.0))  # <m+1|Jx|m>
+    _, v = np.linalg.eigh(np.diag(off, -1))  # columns ordered like m
+    z = np.exp(-0.5j * np.pi * m)
+    return (z[:, None] * ((v * z) @ v.T) * z.conj()).real
 
 
 def coherent_amplitudes(spin: SpinQuantum, theta0: float, phi0: float) -> np.ndarray:
@@ -191,10 +109,9 @@ def coherent_amplitude_block(
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    n = spin.dim
     j = spin.j
     m = spin.m_values()
-    ln_c = np.array([log_binomial(spin.two_j, idx) for idx in range(n)])
+    ln_c = ln_binomials(spin.two_j)
 
     t = np.tan(0.5 * thetas)
     at_north = t == 0.0  # theta rounded down to the pole

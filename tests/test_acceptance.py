@@ -216,10 +216,10 @@ def test_criterion_08_oracle_equivalence():
         ref = (dense @ state.amplitudes.ravel()).reshape(spin.dim, spin.dim)
         worst_step = max(worst_step, np.abs(stepped.amplitudes - ref).max())
 
-    # Wigner recursion vs the direct finite sum, j <= 20
+    # Wigner d(pi/2) vs the direct finite sum, j <= 20
     worst_wigner = 0.0
     for two_j in (1, 7, 24, 40):
-        d = wigner_d_half_pi(SpinQuantum(two_j)).entries
+        d = wigner_d_half_pi(SpinQuantum(two_j))
         n = two_j + 1
         ref = np.array(
             [[wigner_entry_exact(two_j, si, mi) for mi in range(n)] for si in range(n)]

@@ -125,9 +125,26 @@ class TestExitCodes:
         ["husimi", "--j", "510", "--steps", "1", "--snapshots", "1",
          "--n_theta", "2", "--n_phi", "2"],
     ])
-    def test_wigner_overflow_is_numeric_range_error(self, tmp_path, capsys, argv):
-        # wigner_d_half_pi overflows at j = 510: no NaN row, no data file
-        assert main(argv + ["--out", str(tmp_path)]) == 1
+    def test_j_510_runs_write_finite_rows(self, tmp_path, argv):
+        # the Wigner d(pi/2) of j = 510 stays finite, so both runs succeed
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        tables = sorted(tmp_path.glob("*.tsv"))
+        assert tables
+        for path in tables:
+            data = np.loadtxt(path, ndmin=2)
+            assert data.size and np.isfinite(data).all()
+
+    @pytest.mark.parametrize("argv", [
+        ["husimi", "--eps", "1e308"],
+        ["evolve", "--eps", "1e308"],
+        ["evolve", "--k", "1e308"],
+        ["rmt-compare", "--eps_list", "1e308"],
+        ["deltaneff", "--k", "1e308"],
+    ], ids=" ".join)
+    def test_phase_overflow_is_numeric_range_error(self, tmp_path, capsys, argv):
+        # finite but huge kick or coupling: non-finite phases, no NaN row
+        kind, *flags = argv
+        assert main([kind, "--j", "4", "--steps", "3", *flags, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric range error")
         assert list(tmp_path.iterdir()) == []

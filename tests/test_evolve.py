@@ -40,7 +40,7 @@ class TestSinglePropagator:
         # U[s, m] = exp(-i k s^2 / 2j) d_{s m}, rebuilt elementwise
         spin = SpinQuantum(160)
         prop = build_single_propagator(TopParams(spin, 6.0))
-        d = wigner_d_half_pi(spin).entries
+        d = wigner_d_half_pi(spin)
         m = spin.m_values()
         ref = np.exp(-1j * 6.0 * m * m / 160).reshape(-1, 1) * d
         np.testing.assert_allclose(prop.matrix, ref, atol=1e-15)

@@ -2,8 +2,9 @@
 steps, byte for byte against the files under tests/golden/.
 
 A pure refactor keeps these files byte-identical; a change to the numerics
-regenerates them and states its largest deviation.  Manifests are not
-compared, since they carry the run's duration.
+regenerates them and states its largest deviation, which a failing case
+prints per file.  Manifests are not compared, since they carry the run's
+duration.
 
     python tests/test_golden.py    # rewrite tests/golden/ from the current code
 """
@@ -11,6 +12,7 @@ compared, since they carry the run's duration.
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ktops.cli import main
@@ -42,13 +44,25 @@ def run_case(case: str, outdir: Path) -> list:
     return sorted(outdir.glob("*.tsv"))
 
 
+def deviation(got: Path, want: Path) -> str:
+    """The largest absolute and relative deviation of got's numbers from want's."""
+    a, b = (np.loadtxt(path, ndmin=2) for path in (got, want))
+    if a.shape != b.shape:
+        return f"shape {a.shape} against {b.shape}"
+    diff = np.abs(a - b)
+    rel = diff / np.maximum(np.abs(b), np.finfo(float).tiny)
+    return f"largest deviation {diff.max():.2g} absolute, {rel.max():.2g} relative"
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden(case, tmp_path):
     produced = run_case(case, tmp_path / case)
     expected = sorted((GOLDEN / case).glob("*.tsv"))
     assert [p.name for p in produced] == [p.name for p in expected]
     for got, want in zip(produced, expected):
-        assert got.read_bytes() == want.read_bytes(), f"{case}/{got.name} differs"
+        assert got.read_bytes() == want.read_bytes(), (
+            f"{case}/{got.name} differs: {deviation(got, want)}"
+        )
 
 
 if __name__ == "__main__":
