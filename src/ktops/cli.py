@@ -332,8 +332,6 @@ def rmt_compare_series(cfg: RunConfig, eps: float) -> dict:
         "sr_measured": acc,
         "sr_exact_sum": sr_analytic(n_arr, spin, eps, "exact-sum"),
         "sr_closed_form": sr_analytic(n_arr, spin, eps, "closed-form"),
-        "ic_thetas": thetas,
-        "ic_phis": phis,
     }
 
 
@@ -431,9 +429,11 @@ def _run_deltaneff(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_rmt_compare(cfg: RunConfig, outdir: Path) -> dict:
+    # every eps is computed before the first file is written, so a numeric
+    # range error at a later eps leaves no partial output
+    computed = [(eps, rmt_compare_series(cfg, eps)) for eps in cfg.epsilons()]
     files = {}
-    for eps in cfg.epsilons():
-        series = rmt_compare_series(cfg, eps)
+    for eps, series in computed:
         name = f"rmt_compare_eps{eps:g}.tsv"
         rows = (
             (str(n), _fmt(a), _fmt(b), _fmt(c))

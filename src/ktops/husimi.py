@@ -2,6 +2,11 @@
 reduced density matrices, effective phase-space occupancy, and a quadrature
 oracle for the analytic sums.
 
+A coherent state at (theta, phi) has amplitudes r_m(theta) e^{i phi (j-m)}
+with r real, so on the product grid the Husimi function is a Fourier sum in
+phi: Q(theta, phi) = sum_d c_d(theta) e^{-i d phi}, where
+c_d(theta) = sum_m r_m r_{m+d} rho[m, m+d] weights the d-th diagonal of rho.
+
 The analytic second moment rests on the four-index weight
 
     F(2j; i, k, l, m) = (2j+1)/(4j+1)! sqrt(C(2j,j-i) C(2j,j-k) C(2j,j-l)
@@ -15,6 +20,7 @@ amplitudes, evaluated here entirely in log space.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -39,8 +45,6 @@ class SphericalGrid:
     """
 
     spin: SpinQuantum
-    n_theta: int
-    n_phi: int
     thetas: np.ndarray
     phis: np.ndarray
     weights: np.ndarray  # shape (n_theta, n_phi)
@@ -55,7 +59,7 @@ class SphericalGrid:
         phis = -math.pi + (np.arange(n_phi) + 0.5) * d_phi
         w_theta = spin.dim / (4.0 * math.pi) * np.sin(thetas) * d_theta * d_phi
         weights = np.repeat(w_theta.reshape(-1, 1), n_phi, axis=1)
-        return cls(spin, n_theta, n_phi, thetas, phis, weights)
+        return cls(spin, thetas, phis, weights)
 
 
 @dataclass(frozen=True)
@@ -68,38 +72,25 @@ class HusimiField:
     clip_magnitude: float
 
 
-class FWeightTable:
-    """Log-space pieces of F(2j; i, k, l, m), stored as O(N) arrays.
+@functools.lru_cache(maxsize=None)
+def _m2_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt C(2j, j+m), w_s) for N = 2j + 1 = n, both read-only.
 
-    half_ln_binom[m + j] = ln C(2j, j+m) / 2 and ln_s_weight[s + 2j] =
-    ln[(2j+1) (2j-s)! (2j+s)! / (4j+1)!]; an F value is the exp of four
-    half-binomial terms plus one s-weight term.
+    sqrt_binom[m + j] = sqrt C(2j, j+m) and w[s + 2j] =
+    (2j+1) (2j-s)! (2j+s)! / (4j+1)!, each the exp of a log-space sum, so
+    F(2j; i, k, l, m) = sqrt_binom[i] sqrt_binom[k] sqrt_binom[l]
+    sqrt_binom[m] w[i + l] (indices shifted by j and 2j).
     """
-
-    def __init__(self, spin: SpinQuantum):
-        self.spin = spin
-        tj = spin.two_j
-        self.half_ln_binom = 0.5 * ln_binomials(tj)
-        lf = ln_factorials(2 * tj + 1)
-        s_idx = np.arange(2 * tj + 1)  # s + 2j
-        self.ln_s_weight = (math.log(spin.dim) - lf[-1]) + (lf[2 * tj - s_idx] + lf[s_idx])
-
-
-_F_TABLES: dict = {}
-
-
-def _f_table(spin: SpinQuantum) -> FWeightTable:
-    tab = _F_TABLES.get(spin.two_j)
-    if tab is None:
-        tab = FWeightTable(spin)
-        _F_TABLES[spin.two_j] = tab
-    return tab
-
-
-def _spin_for_dim(n: int) -> SpinQuantum:
     if n < 1:
         raise ValueError("empty state vector")
-    return SpinQuantum(n - 1)
+    tj = n - 1
+    lf = ln_factorials(2 * tj + 1)
+    s_idx = np.arange(2 * tj + 1)  # s + 2j
+    ln_w = (math.log(n) - lf[-1]) + (lf[2 * tj - s_idx] + lf[s_idx])
+    weights = (np.exp(0.5 * ln_binomials(tj)), np.exp(ln_w))
+    for arr in weights:
+        arr.flags.writeable = False
+    return weights
 
 
 def m2_pure(vector: np.ndarray) -> float:
@@ -111,12 +102,11 @@ def m2_pure(vector: np.ndarray) -> float:
     amplitudes.
     """
     v = np.asarray(vector, dtype=complex)
-    spin = _spin_for_dim(len(v))
-    tab = _f_table(spin)
+    sqrt_binom, w = _m2_weights(len(v))
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
-        u = v * np.exp(tab.half_ln_binom)
+        u = v * sqrt_binom
         a = np.convolve(u, u)  # a[s + 2j] = sum_i u_i u_{s-i}
-        m2 = float(np.exp(tab.ln_s_weight) @ (a.real**2 + a.imag**2))
+        m2 = float(w @ (a.real**2 + a.imag**2))
     if not math.isfinite(m2):
         raise FloatingPointError("m2_pure overflowed; spin out of supported range")
     return m2
@@ -146,13 +136,9 @@ def m2_rdm(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> float:
     total raises FloatingPointError.
     """
     entries = rdm_entries(rdm)
-    n = entries.shape[0]
-    spin = _spin_for_dim(n)
-    tab = _f_table(spin)
-    half = np.exp(tab.half_ln_binom)
-    w = np.exp(tab.ln_s_weight)
+    sqrt_binom, w = _m2_weights(entries.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
-        b = entries * np.outer(half, half)
+        b = entries * np.outer(sqrt_binom, sqrt_binom)
         g = _skew(b) @ _skew(b[::-1, ::-1]).T
         t = _skew(g).sum(axis=0)[::-1]  # t[a] = T(a)
         total = complex(w @ t)
@@ -178,38 +164,23 @@ def gamma_factor(s_v: float, delta_n_eff_value: float, n: int) -> float:
 
 
 def husimi_field(
-    op: Union[ReducedDensityMatrix, np.ndarray], grid: SphericalGrid, chunk: int = 4096
+    op: Union[ReducedDensityMatrix, np.ndarray], grid: SphericalGrid
 ) -> HusimiField:
-    """<z|rho|z> over the grid; a 1-d amplitude vector is treated as rank one."""
-    if isinstance(op, ReducedDensityMatrix):
-        mat = op.entries
-        vec = None
-    else:
-        arr = np.asarray(op)
-        if arr.ndim == 1:
-            vec = arr.astype(complex)
-            mat = None
-        else:
-            mat = arr
-            vec = None
-    n_nodes = grid.n_theta * grid.n_phi
-    th = np.repeat(grid.thetas, grid.n_phi)
-    ph = np.tile(grid.phis, grid.n_theta)
-    values = np.empty(n_nodes)
-    for start in range(0, n_nodes, chunk):
-        stop = min(start + chunk, n_nodes)
-        block = coherent_amplitude_block(grid.spin, th[start:stop], ph[start:stop])
-        if vec is not None:
-            amp = block.conj() @ vec
-            values[start:stop] = amp.real**2 + amp.imag**2
-        else:
-            t = block.conj() @ mat
-            values[start:stop] = np.einsum("ni,ni->n", t, block).real
+    """<z|rho|z> over the grid as a Fourier sum in phi (see the module
+    docstring); a 1-d amplitude vector v is taken as rho = v v^dagger."""
+    if np.ndim(op) == 1:
+        op = np.outer(op, np.conj(op))
+    rho = rdm_entries(op)
+    n = grid.spin.dim
+    r = coherent_amplitude_block(grid.spin, grid.thetas, np.zeros_like(grid.thetas)).real
+    d = np.arange(1 - n, n)
+    c = np.empty((len(grid.thetas), len(d)), dtype=complex)
+    for col, dk in enumerate(d):
+        lo, hi = max(0, -dk), min(n, n - dk)
+        c[:, col] = (r[:, lo:hi] * r[:, lo + dk : hi + dk]) @ np.diagonal(rho, dk)
+    values = (c @ np.exp(-1j * np.outer(d, grid.phis))).real
     clip = float(max(0.0, -values.min()))
-    return HusimiField(
-        grid=grid, values=np.maximum(values, 0.0).reshape(grid.n_theta, grid.n_phi),
-        clip_magnitude=clip,
-    )
+    return HusimiField(grid=grid, values=np.maximum(values, 0.0), clip_magnitude=clip)
 
 
 def m2_quadrature(field: HusimiField) -> float:

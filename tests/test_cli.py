@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,15 @@ def read_table(path):
     header = lines[0][2:].split("\t")
     data = np.array([[float(tok) for tok in line.split("\t")] for line in lines[1:]])
     return header, data
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # importing scipy.linalg adds 0.10-0.13 s to every CLI start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ktops.cli; assert 'scipy.linalg' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestConfigParsing:
@@ -139,10 +152,12 @@ class TestExitCodes:
         ["evolve", "--eps", "1e308"],
         ["evolve", "--k", "1e308"],
         ["rmt-compare", "--eps_list", "1e308"],
+        ["rmt-compare", "--eps_list", "0.01,1e308"],
         ["deltaneff", "--k", "1e308"],
     ], ids=" ".join)
     def test_phase_overflow_is_numeric_range_error(self, tmp_path, capsys, argv):
-        # finite but huge kick or coupling: non-finite phases, no NaN row
+        # finite but huge kick or coupling: non-finite phases, no NaN row, and
+        # no file from an eps computed before the failing one
         kind, *flags = argv
         assert main([kind, "--j", "4", "--steps", "3", *flags, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err

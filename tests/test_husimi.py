@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ktops.entangle import reduce
+from ktops.entangle import ReducedDensityMatrix, reduce
 from ktops.evolve import CoupledParams, PureState, TopParams, evolve, initial_product_state
 from ktops.husimi import (
-    FWeightTable,
+    HusimiField,
     SphericalGrid,
+    _m2_weights,
     delta_n_eff,
     gamma_factor,
     husimi_field,
@@ -24,27 +25,69 @@ def random_vector(n, seed=0):
     return v / np.linalg.norm(v)
 
 
-def f_value(table: FWeightTable, i: float, k: float, l: float, m: float) -> float:
-    """F(2j; i, k, l, m) from the table's log-space pieces; the selection rule
-    i + l = k + m is the caller's."""
-    tj = table.spin.two_j
-    idx = []
-    for q in (i, k, l, m):
-        two_q = round(2.0 * q)
-        if abs(two_q - 2.0 * q) > 1e-9 or abs(two_q) > tj or (two_q - tj) % 2 != 0:
-            raise ValueError(f"magnetic index {q} invalid for j = {table.spin.j}")
-        idx.append((two_q + tj) // 2)
-    s_idx = idx[0] + idx[2]  # (i + l) + 2j
-    # pairwise grouping keeps the (i,k) <-> (l,m) exchange exact in floats
-    ln_f = (
-        (table.half_ln_binom[idx[0]] + table.half_ln_binom[idx[1]])
-        + (table.half_ln_binom[idx[2]] + table.half_ln_binom[idx[3]])
-    ) + table.ln_s_weight[s_idx]
-    return float(math.exp(ln_f))
+def magnetic_index(two_j: int, q: float) -> int:
+    """Array index q + j of a magnetic number, validated against spin j."""
+    two_q = round(2.0 * q)
+    if abs(two_q - 2.0 * q) > 1e-9 or abs(two_q) > two_j or (two_q - two_j) % 2 != 0:
+        raise ValueError(f"magnetic index {q} invalid for j = {two_j / 2}")
+    return (two_q + two_j) // 2
 
 
 def f_weight(spin: SpinQuantum, i: float, k: float, l: float, m: float) -> float:
-    return f_value(FWeightTable(spin), i, k, l, m)
+    """F(2j; i, k, l, m) straight from its definition with math.lgamma,
+    independent of the module's weights; the selection rule i + l = k + m is
+    the caller's."""
+    tj = spin.two_j
+    for q in (i, k, l, m):
+        magnetic_index(tj, q)
+    j = spin.j
+
+    def ln_binom(q):  # ln C(2j, j - q)
+        return math.lgamma(tj + 1) - math.lgamma(j - q + 1) - math.lgamma(j + q + 1)
+
+    s = i + l
+    ln_f = (
+        math.log(tj + 1) - math.lgamma(2 * tj + 2)
+        + 0.5 * (ln_binom(i) + ln_binom(k) + ln_binom(l) + ln_binom(m))
+        + math.lgamma(tj - s + 1) + math.lgamma(tj + s + 1)
+    )
+    return math.exp(ln_f)
+
+
+def f_table(spin: SpinQuantum, i: float, k: float, l: float, m: float) -> float:
+    """F(2j; i, k, l, m) assembled from _m2_weights, the weights under test."""
+    sqrt_binom, w = _m2_weights(spin.dim)
+    ii, kk, ll, mm = (magnetic_index(spin.two_j, q) for q in (i, k, l, m))
+    # pairwise grouping keeps the (i,k) <-> (l,m) exchange exact in floats
+    pairs = (sqrt_binom[ii] * sqrt_binom[kk]) * (sqrt_binom[ll] * sqrt_binom[mm])
+    return float(pairs * w[ii + ll])
+
+
+def husimi_field_nodes(op, grid: SphericalGrid, chunk: int = 4096) -> HusimiField:
+    """<z|rho|z> node by node: one coherent vector per grid node, in chunks.
+    The oracle for husimi_field; a 1-d vector is evaluated as |<z|v>|^2."""
+    if isinstance(op, ReducedDensityMatrix):
+        mat, vec = op.entries, None
+    else:
+        arr = np.asarray(op)
+        vec, mat = (arr.astype(complex), None) if arr.ndim == 1 else (None, arr)
+    n_theta, n_phi = len(grid.thetas), len(grid.phis)
+    th = np.repeat(grid.thetas, n_phi)
+    ph = np.tile(grid.phis, n_theta)
+    values = np.empty(n_theta * n_phi)
+    for start in range(0, len(values), chunk):
+        stop = min(start + chunk, len(values))
+        block = coherent_amplitude_block(grid.spin, th[start:stop], ph[start:stop])
+        if vec is not None:
+            amp = block.conj() @ vec
+            values[start:stop] = amp.real**2 + amp.imag**2
+        else:
+            t = block.conj() @ mat
+            values[start:stop] = np.einsum("ni,ni->n", t, block).real
+    clip = float(max(0.0, -values.min()))
+    return HusimiField(
+        grid=grid, values=np.maximum(values, 0.0).reshape(n_theta, n_phi), clip_magnitude=clip
+    )
 
 
 def m2_rdm_loop(entries: np.ndarray) -> complex:
@@ -52,12 +95,10 @@ def m2_rdm_loop(entries: np.ndarray) -> complex:
     sum_a w_a sum_{i,k} B_{ik} B_{a-i,a-k}, slice by slice (2N - 1 slices).
     The oracle for m2_rdm; returns the complex total, residue included."""
     n = entries.shape[0]
-    tab = FWeightTable(SpinQuantum(n - 1))
-    half = np.exp(tab.half_ln_binom)
-    w = np.exp(tab.ln_s_weight)
+    sqrt_binom, w = _m2_weights(n)
     total = 0.0 + 0.0j
     with np.errstate(over="ignore", invalid="ignore"):
-        b = entries * np.outer(half, half)
+        b = entries * np.outer(sqrt_binom, sqrt_binom)
         for a in range(2 * n - 1):
             lo = max(0, a - (n - 1))
             hi = min(n - 1, a)
@@ -74,20 +115,21 @@ def evolved_rdm(spin: SpinQuantum, steps: int):
 
 
 class TestFWeight:
+    # f_weight is the lgamma oracle, f_table the module's weights under test
     def test_half_spin_value(self):
         # 2/3! * 1 * 0! * 2! = 2/3, cross-checked by the coherent-state moment
-        assert f_weight(SpinQuantum(1), 0.5, 0.5, 0.5, 0.5) == pytest.approx(2 / 3, abs=1e-14)
+        for f in (f_weight, f_table):
+            assert f(SpinQuantum(1), 0.5, 0.5, 0.5, 0.5) == pytest.approx(2 / 3, abs=1e-14)
 
     def test_spin_one_center(self):
         # 3/5! * sqrt(2^4) * 2! * 2! = 0.4
-        assert f_weight(SpinQuantum(2), 0, 0, 0, 0) == pytest.approx(0.4, abs=1e-14)
+        for f in (f_weight, f_table):
+            assert f(SpinQuantum(2), 0, 0, 0, 0) == pytest.approx(0.4, abs=1e-14)
 
     def test_pair_exchange_symmetry(self):
         spin = SpinQuantum(8)
-        table = FWeightTable(spin)
-        for args in [(1, 2, -1, 0), (4, -4, 0, 0), (3, 1, -2, 0)]:
-            i, k, l, m = args
-            assert f_value(table, i, k, l, m) == f_value(table, l, m, i, k)
+        for i, k, l, m in [(1, 2, -1, 0), (4, -4, 0, 0), (3, 1, -2, 0)]:
+            assert f_table(spin, i, k, l, m) == f_table(spin, l, m, i, k)
 
     def test_positive_on_constrained_tuples(self):
         spin = SpinQuantum(5)
@@ -97,13 +139,47 @@ class TestFWeight:
                 for l in ms:
                     m = i + l - k
                     if -spin.j <= m <= spin.j:
-                        assert f_weight(spin, i, k, l, m) > 0.0
+                        assert f_table(spin, i, k, l, m) > 0.0
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 5, 8, 13])
+    def test_matches_lgamma_oracle(self, two_j):
+        # every tuple under the selection rule, half-integer j included
+        spin = SpinQuantum(two_j)
+        ms = spin.m_values()
+        for i in ms:
+            for k in ms:
+                for l in ms:
+                    m = i + l - k
+                    if -spin.j <= m <= spin.j:
+                        want = f_weight(spin, i, k, l, m)
+                        assert f_table(spin, i, k, l, m) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("two_j", [40, 81, 160])
+    def test_matches_lgamma_oracle_sampled(self, two_j):
+        # both sides exponentiate log sums of size ~ j ln j; against a 40-digit
+        # evaluation at 2j = 160 the oracle is off by up to 5e-13 relative and
+        # the weights by up to 1.7e-12, hence rel=1e-11
+        spin = SpinQuantum(two_j)
+        rng = np.random.default_rng(two_j)
+        ms = spin.m_values()
+        for _ in range(500):
+            i, k, l = rng.choice(ms, size=3)
+            m = i + l - k
+            if -spin.j <= m <= spin.j:
+                want = f_weight(spin, i, k, l, m)
+                assert f_table(spin, i, k, l, m) == pytest.approx(want, rel=1e-11, abs=0)
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            f_weight(SpinQuantum(2), 2, 0, 0, 0)
-        with pytest.raises(ValueError):
-            f_weight(SpinQuantum(2), 0.5, 0, 0, 0)
+        for f in (f_weight, f_table):
+            with pytest.raises(ValueError):
+                f(SpinQuantum(2), 2, 0, 0, 0)
+            with pytest.raises(ValueError):
+                f(SpinQuantum(2), 0.5, 0, 0, 0)
+
+    def test_empty_dimension_rejected(self):
+        for fn, arg in ((m2_pure, np.zeros(0)), (_m2_weights, 0)):
+            with pytest.raises(ValueError, match="empty state vector"):
+                fn(arg)
 
 
 class TestM2Pure:
@@ -213,8 +289,6 @@ class TestQuadratureOracle:
         spin = SpinQuantum(12)
         grid = SphericalGrid.build(spin, 100, 200)
         n = spin.dim
-        from ktops.husimi import HusimiField
-
         field = HusimiField(grid=grid, values=np.full((100, 200), 1.0 / n), clip_magnitude=0.0)
         assert m2_quadrature(field) == pytest.approx(1.0 / n, rel=1e-3)
 
@@ -230,7 +304,37 @@ class TestSphericalGrid:
             SphericalGrid.build(SpinQuantum(2), 0, 10)
 
 
+def husimi_operands(spin: SpinQuantum, seed: int) -> dict:
+    """A pure amplitude vector, a raw mixed RDM and a ReducedDensityMatrix."""
+    n = spin.dim
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    return {
+        "vector": random_vector(n, seed),
+        "raw": rho,
+        "wrapped": reduce(PureState(spin=spin, amplitudes=a / np.linalg.norm(a)), 1),
+    }
+
+
 class TestHusimiField:
+    @pytest.mark.parametrize("shape", [(7, 13), (30, 60)])
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 10, 40, 160])
+    def test_matches_per_node_oracle(self, two_j, shape):
+        spin = SpinQuantum(two_j)
+        grid = SphericalGrid.build(spin, *shape)
+        for kind, op in husimi_operands(spin, two_j).items():
+            got, want = husimi_field(op, grid), husimi_field_nodes(op, grid)
+            assert got.values.shape == shape, kind
+            assert np.abs(got.values - want.values).max() <= 1e-13, kind
+            assert got.clip_magnitude <= 1e-13, kind
+
+    def test_rejects_non_hermitian_array(self):
+        grid = SphericalGrid.build(SpinQuantum(1), 7, 13)
+        with pytest.raises(ValueError, match="Hermitian"):
+            husimi_field(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex), grid)
+
     def test_coherent_self_overlap_is_one(self):
         spin = SpinQuantum(40)
         v = coherent_amplitudes(spin, 0.89, 0.63)
