@@ -184,10 +184,6 @@ def config_from_mapping(kind: str, mapping: dict) -> RunConfig:
     return RunConfig(kind=kind, **mapping)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
-
-
 def _config_value_str(val) -> str:
     if isinstance(val, tuple):
         return ",".join(repr(v) for v in val)
@@ -239,14 +235,19 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
-def _write_table(path: Path, header: str, rows) -> int:
-    lines = [header]
-    count = 0
-    for row in rows:
-        lines.append("\t".join(row))
-        count += 1
-    _write_text(path, "\n".join(lines) + "\n")
-    return count
+def _write_table(path: Path, header: str, *columns) -> int:
+    """Write the header line, then one tab-separated line per row of the
+    columns, and return the row count.  A column is a 1-d array, or a 2-d
+    array that contributes each of its columns.  Integer columns are written
+    as %d and float columns as %.12e, the same text as str(n) and
+    f"{x:.12e}"; the whole table is formatted by one % on its values."""
+    blocks = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    line = "\t".join("%d" if b.dtype.kind in "iu" else "%.12e"
+                     for b in blocks for _ in range(b.shape[1]))
+    table = np.hstack([b.astype(object) for b in blocks])  # Python ints and floats
+    body = ((line + "\n") * len(table)) % tuple(table.ravel())
+    _write_text(path, f"{header}\n{body}")
+    return len(table)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +371,10 @@ def stats_components(cfg: RunConfig) -> np.ndarray:
 
 def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
     series = entropy_series(cfg)
-    rows = (
-        (str(n), _fmt(sv), _fmt(sr), _fmt(dn), _fmt(gm))
-        for n, sv, sr, dn, gm in zip(
-            series["n"], series["s_v"], series["s_r"],
-            series["delta_n_eff"], series["gamma"],
-        )
-    )
     count = _write_table(outdir / "evolve_entropy.tsv",
-                         "# n\tS_V\tS_R\tdelta_n_eff\tgamma", rows)
+                         "# n\tS_V\tS_R\tdelta_n_eff\tgamma",
+                         series["n"], series["s_v"], series["s_r"],
+                         series["delta_n_eff"], series["gamma"])
     return {"evolve_entropy.tsv": count}
 
 
@@ -390,8 +386,9 @@ def _run_portrait(cfg: RunConfig, outdir: Path) -> dict:
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     ics = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=-1).reshape(-1, 3)
     orbits = phase_portrait(cfg.k, ics, cfg.portrait_iters)
-    rows = ((_fmt(phi), _fmt(ct)) for ct, phi in orbits.reshape(-1, 2))
-    count = _write_table(outdir / "portrait_points.tsv", "# phi\tcos_theta", rows)
+    # orbit points are (cos_theta, phi); the file puts phi first
+    count = _write_table(outdir / "portrait_points.tsv", "# phi\tcos_theta",
+                         orbits.reshape(-1, 2)[:, ::-1])
     return {"portrait_points.tsv": count}
 
 
@@ -407,24 +404,17 @@ def _run_husimi(cfg: RunConfig, outdir: Path) -> dict:
             f"# husimi j={cfg.j} step={n} n_theta={cfg.n_theta} "
             f"n_phi={cfg.n_phi} rows=theta cols=phi"
         )
-        # the field is referenced only by this generator, so it is freed
-        # once written rather than held while the next one is computed
-        rows = (
-            tuple(_fmt(v) for v in row)
-            for row in husimi_field(reduce(st, 1), grid).values
-        )
-        files[name] = _write_table(outdir / name, header, rows)
+        # no name holds the field, so it is freed once written instead of
+        # being held while the next one is computed: one field sets peak RSS
+        files[name] = _write_table(outdir / name, header,
+                                   husimi_field(reduce(st, 1), grid).values)
     return files
 
 
 def _run_deltaneff(cfg: RunConfig, outdir: Path) -> dict:
     series = single_top_series(cfg)
-    rows = (
-        (str(n), _fmt(m2), _fmt(dn))
-        for n, m2, dn in zip(series["n"], series["m2"], series["delta_n_eff"])
-    )
-    count = _write_table(outdir / "deltaneff_single.tsv",
-                         "# n\tm2_pure\tdelta_n_eff", rows)
+    count = _write_table(outdir / "deltaneff_single.tsv", "# n\tm2_pure\tdelta_n_eff",
+                         series["n"], series["m2"], series["delta_n_eff"])
     return {"deltaneff_single.tsv": count}
 
 
@@ -435,15 +425,10 @@ def _run_rmt_compare(cfg: RunConfig, outdir: Path) -> dict:
     files = {}
     for eps, series in computed:
         name = f"rmt_compare_eps{eps:g}.tsv"
-        rows = (
-            (str(n), _fmt(a), _fmt(b), _fmt(c))
-            for n, a, b, c in zip(
-                series["n"], series["sr_measured"],
-                series["sr_exact_sum"], series["sr_closed_form"],
-            )
-        )
         files[name] = _write_table(
-            outdir / name, "# n\tsr_measured\tsr_exact_sum\tsr_closed_form", rows
+            outdir / name, "# n\tsr_measured\tsr_exact_sum\tsr_closed_form",
+            series["n"], series["sr_measured"],
+            series["sr_exact_sum"], series["sr_closed_form"],
         )
     return files
 
@@ -452,22 +437,16 @@ def _run_stats(cfg: RunConfig, outdir: Path) -> dict:
     comps = stats_components(cfg)
     n_dim = cfg.spin.dim
     scaled = n_dim * np.abs(comps) ** 2
-    rows = (
-        (_fmt(c.real), _fmt(c.imag), _fmt(s)) for c, s in zip(comps, scaled)
-    )
     files = {}
     files["stats_components.tsv"] = _write_table(
-        outdir / "stats_components.tsv", "# re\tim\tn_abs2", rows
+        outdir / "stats_components.tsv", "# re\tim\tn_abs2", comps.real, comps.imag, scaled
     )
-    summary = (
-        _fmt(comps.real.mean()), _fmt(comps.real.var()),
-        _fmt(comps.imag.mean()), _fmt(comps.imag.var()),
-        _fmt(ks_exponential(scaled)), str(len(comps)),
-    )
+    moments = [comps.real.mean(), comps.real.var(), comps.imag.mean(), comps.imag.var(),
+               ks_exponential(scaled)]
     files["stats_summary.tsv"] = _write_table(
         outdir / "stats_summary.tsv",
         "# mean_re\tvar_re\tmean_im\tvar_im\tks_exponential\tn_samples",
-        [summary],
+        np.array([moments]), np.array([len(comps)]),
     )
     return files
 

@@ -142,8 +142,13 @@ def _sr_closed_bracket(n: int, epsilon: float) -> float:
     """
     e = abs(epsilon)
     x = 2.0 * n * e
-    lead = 2.0 / n * (1.0 + si(x) / e)
-    corr = (1.0 - math.cos(x) - ci(x) + math.log(x) + EULER_GAMMA) / (n * e) ** 2
+    try:  # (n e)^2 overflows or underflows to 0, or x overflows to inf
+        lead = 2.0 / n * (1.0 + si(x) / e)
+        corr = (1.0 - math.cos(x) - ci(x) + math.log(x) + EULER_GAMMA) / (n * e) ** 2
+    except (ArithmeticError, ValueError) as exc:
+        raise FloatingPointError(
+            f"closed-form bracket is out of float range at eps = {epsilon!r}"
+        ) from exc
     return float(lead - corr)
 
 

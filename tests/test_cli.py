@@ -10,6 +10,7 @@ import pytest
 from ktops.cli import (
     ConfigError,
     RunConfig,
+    _write_table,
     config_from_manifest_text,
     config_from_mapping,
     config_lines,
@@ -100,6 +101,36 @@ class TestManifest:
         assert len(data) == manifest.files["deltaneff_single.tsv"] == 7
 
 
+class TestWriteTable:
+    @staticmethod
+    def joined(header, rows):
+        # the oracle: one str(n) or f"{x:.12e}" per value, joined per row
+        lines = [header] + ["\t".join(str(v) if isinstance(v, int) else f"{v:.12e}"
+                                      for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_floats_match_per_value_format(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 2.2250738585072014e-308,
+                           1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0])
+        table = np.column_stack([values, values[::-1]])
+        path = tmp_path / "floats.tsv"
+        assert _write_table(path, "# a\tb", table) == len(values)
+        assert path.read_bytes() == self.joined("# a\tb", table.tolist()).encode()
+
+    def test_integer_column_with_floats(self, tmp_path):
+        n = np.array([0, 10**6])
+        x = np.array([0.1, -0.0])
+        path = tmp_path / "mixed.tsv"
+        assert _write_table(path, "# n\tx\ty", n, x, np.column_stack([x])) == 2
+        rows = [(0, 0.1, 0.1), (10**6, -0.0, -0.0)]
+        assert path.read_bytes() == self.joined("# n\tx\ty", rows).encode()
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        assert _write_table(path, "# n\tx", np.arange(0), np.zeros(0)) == 0
+        assert path.read_bytes() == b"# n\tx\n"
+
+
 class TestExitCodes:
     def test_success(self, tmp_path, capsys):
         rc = main(["evolve", "--j", "4", "--steps", "3", "--out", str(tmp_path)])
@@ -153,11 +184,16 @@ class TestExitCodes:
         ["evolve", "--k", "1e308"],
         ["rmt-compare", "--eps_list", "1e308"],
         ["rmt-compare", "--eps_list", "0.01,1e308"],
+        ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e200"],
+        ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e-300"],
+        ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e307"],
         ["deltaneff", "--k", "1e308"],
     ], ids=" ".join)
     def test_phase_overflow_is_numeric_range_error(self, tmp_path, capsys, argv):
         # finite but huge kick or coupling: non-finite phases, no NaN row, and
-        # no file from an eps computed before the failing one
+        # no file from an eps computed before the failing one; an eps whose
+        # closed-form bracket leaves the float range (1e200, 1e-300, 1e307)
+        # fails the same way
         kind, *flags = argv
         assert main([kind, "--j", "4", "--steps", "3", *flags, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
