@@ -320,10 +320,9 @@ def rmt_compare_series(cfg: RunConfig, eps: float) -> dict:
     for th in thetas:
         for ph in phis:
             state0 = initial_product_state(spin, th, ph, th, ph)
-            for n, st in trajectory(state0, u1, u2, coupling, cfg.steps):
+            for n, a in trajectory(state0, u1, u2, coupling, cfg.steps):
                 if n == 0:
                     continue
-                a = st.amplitudes
                 rho = a @ a.conj().T
                 acc[n - 1] += 1.0 - float((np.abs(rho) ** 2).sum())
     acc /= g * g

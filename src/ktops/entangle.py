@@ -8,9 +8,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .evolve import PureState
-from .spincore import SpinQuantum
-
 _HERMITICITY_TOL = 1e-10
 
 
@@ -21,13 +18,11 @@ def _check_hermitian(entries: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
-    spin: SpinQuantum
     entries: np.ndarray
 
     def __post_init__(self):
-        n = self.spin.dim
-        if self.entries.shape != (n, n):
-            raise ValueError(f"RDM must be {n}x{n}")
+        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+            raise ValueError(f"RDM must be square, got shape {self.entries.shape}")
         _check_hermitian(self.entries, "RDM")
         tr = np.trace(self.entries).real
         if abs(tr - 1.0) > 1e-8:
@@ -49,16 +44,16 @@ class SchmidtSpectrum:
     clip_magnitude: float
 
 
-def reduce(state: PureState, subsystem: int) -> ReducedDensityMatrix:
-    """Partial trace of |psi><psi| over the other top."""
-    a = state.amplitudes
+def reduce(a: np.ndarray, subsystem: int) -> ReducedDensityMatrix:
+    """Partial trace of |psi><psi| over the other top, from the N x N
+    amplitudes a[m1 + j, m2 + j] = <m1, m2 | psi>."""
     if subsystem == 1:
         rho = a @ a.conj().T
     elif subsystem == 2:
         rho = a.T @ a.conj()
     else:
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    return ReducedDensityMatrix(spin=state.spin, entries=rho)
+    return ReducedDensityMatrix(rho)
 
 
 def rdm_entries(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> np.ndarray:

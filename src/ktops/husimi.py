@@ -14,7 +14,7 @@ The analytic second moment rests on the four-index weight
 
 contracted under the selection rule i + l = k + m.  Fixing the diagonal sum
 s = i + l makes the constrained sum a correlation of binomial-weighted
-amplitudes, evaluated here entirely in log space.
+amplitudes, with the weights rounded from exact integer binomials.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .entangle import ReducedDensityMatrix, rdm_entries
-from .spincore import SpinQuantum, coherent_amplitude_block, ln_binomials, ln_factorials
+from .spincore import SpinQuantum, coherent_amplitude_block
 
 _IMAG_TOL = 1e-10
 
@@ -72,22 +72,34 @@ class HusimiField:
     clip_magnitude: float
 
 
+def _binomials(m: int) -> list:
+    """C(m, 0), ..., C(m, m) as exact integers, by C(m, i+1) = C(m, i) (m-i)/(i+1)."""
+    row = [1]
+    for i in range(m):
+        row.append(row[-1] * (m - i) // (i + 1))
+    return row
+
+
 @functools.lru_cache(maxsize=None)
 def _m2_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt C(2j, j+m), w_s) for N = 2j + 1 = n, both read-only.
 
     sqrt_binom[m + j] = sqrt C(2j, j+m) and w[s + 2j] =
-    (2j+1) (2j-s)! (2j+s)! / (4j+1)!, each the exp of a log-space sum, so
+    (2j+1) (2j-s)! (2j+s)! / (4j+1)! = (2j+1) / ((4j+1) C(4j, 2j+s)), each
+    correctly rounded from exact integers before the square root, so
     F(2j; i, k, l, m) = sqrt_binom[i] sqrt_binom[k] sqrt_binom[l]
-    sqrt_binom[m] w[i + l] (indices shifted by j and 2j).
+    sqrt_binom[m] w[i + l] (indices shifted by j and 2j).  A binomial past
+    the float range (from 2j ~ 1030) raises FloatingPointError.
     """
     if n < 1:
         raise ValueError("empty state vector")
     tj = n - 1
-    lf = ln_factorials(2 * tj + 1)
-    s_idx = np.arange(2 * tj + 1)  # s + 2j
-    ln_w = (math.log(n) - lf[-1]) + (lf[2 * tj - s_idx] + lf[s_idx])
-    weights = (np.exp(0.5 * ln_binomials(tj)), np.exp(ln_w))
+    try:
+        binom = np.array(_binomials(tj), dtype=float)
+    except OverflowError as exc:
+        raise FloatingPointError("M2 weights overflowed; spin out of supported range") from exc
+    w = np.array([n / ((2 * tj + 1) * c) for c in _binomials(2 * tj)])
+    weights = (np.sqrt(binom), w)
     for arr in weights:
         arr.flags.writeable = False
     return weights

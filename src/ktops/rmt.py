@@ -100,14 +100,15 @@ def _p_closed_refined(spin: SpinQuantum, epsilon: float) -> float:
 
     Unlike the headline form this tends to exactly 1 as eps -> 0 and stays
     <= 1 (since Si(y)/y <= 1), which keeps the long-time power p^(4n-4)
-    bounded.  It feeds sr_analytic's closed-form mode.
+    bounded.  It feeds sr_analytic's closed-form mode.  It is evaluated as
+    (2N - 1)/N^2 + ((N - 1)/N)^2 Si(y)/y with y = j eps, where 4j/(N^2 eps)
+    would overflow for a subnormal eps.
     """
     n = spin.dim
-    j = spin.j
-    if epsilon == 0.0:
+    y = spin.j * abs(epsilon)
+    if y == 0.0:
         return 1.0
-    e = abs(epsilon)
-    return float((2.0 * n - 1.0) / (n * n) + 4.0 * j / (n * n * e) * si(j * e))
+    return float((2.0 * n - 1.0) / (n * n) + (n - 1.0) ** 2 / (n * n) * (si(y) / y))
 
 
 def _sr_exact_bracket(spin: SpinQuantum, epsilon: float) -> float:
@@ -128,6 +129,15 @@ def _sr_exact_bracket(spin: SpinQuantum, epsilon: float) -> float:
     return float((2.0 * n**3 - n**2 + 4.0 * quad) / float(n) ** 4)
 
 
+# Below x = 1 the group g(x) = 1 - cos x - Ci(x) + ln x + gamma cancels
+# catastrophically; its series is sum_k (-1)^(k+1) (2k+1) x^2k / (2k (2k)!),
+# and these are its coefficients divided by (x/2)^2, in powers of x^2 from
+# x^0.  Twelve terms reach double precision for x <= 1.
+_CORR_SERIES = tuple(
+    (-1) ** (k + 1) * 4 * (2 * k + 1) / (2 * k * math.factorial(2 * k)) for k in range(1, 13)
+)
+
+
 def _sr_closed_bracket(n: int, epsilon: float) -> float:
     """Large-j continuum limit of the bracket, from the quadrant integrals:
 
@@ -138,13 +148,19 @@ def _sr_closed_bracket(n: int, epsilon: float) -> float:
     (M/4eps^2)(1 - cos 2Meps) [linear term, entering twice with weight -8N],
     and (M^2/4eps^2)(1 - cos + Ci - ln - gamma) [bilinear term]; combining the
     1 - cos pieces flips the sign of the Ci - ln - gamma group relative to
-    the bilinear integral alone.
+    the bilinear integral alone.  Below 2 N eps = 1 the second term is
+    summed as a series (see _CORR_SERIES).
     """
     e = abs(epsilon)
     x = 2.0 * n * e
-    try:  # (n e)^2 overflows or underflows to 0, or x overflows to inf
+    try:  # (n e)^2 overflows, or x overflows to inf
         lead = 2.0 / n * (1.0 + si(x) / e)
-        corr = (1.0 - math.cos(x) - ci(x) + math.log(x) + EULER_GAMMA) / (n * e) ** 2
+        if x < 1.0:
+            corr = 0.0
+            for c in reversed(_CORR_SERIES):
+                corr = corr * (x * x) + c
+        else:
+            corr = (1.0 - math.cos(x) - ci(x) + math.log(x) + EULER_GAMMA) / (n * e) ** 2
     except (ArithmeticError, ValueError) as exc:
         raise FloatingPointError(
             f"closed-form bracket is out of float range at eps = {epsilon!r}"

@@ -164,6 +164,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_m2_weight_overflow_is_numeric_range_error(self, tmp_path, capsys):
+        # the binomials of the M2 weights leave the float range at j = 600
+        rc = main(["deltaneff", "--j", "600", "--steps", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numeric range error")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["rmt-compare", "--j", "510", "--steps", "2", "--ic_grid", "1", "--eps_list", "0.01"],
         ["husimi", "--j", "510", "--steps", "1", "--snapshots", "1",
@@ -185,20 +193,30 @@ class TestExitCodes:
         ["rmt-compare", "--eps_list", "1e308"],
         ["rmt-compare", "--eps_list", "0.01,1e308"],
         ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e200"],
-        ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e-300"],
         ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e307"],
         ["deltaneff", "--k", "1e308"],
     ], ids=" ".join)
     def test_phase_overflow_is_numeric_range_error(self, tmp_path, capsys, argv):
         # finite but huge kick or coupling: non-finite phases, no NaN row, and
         # no file from an eps computed before the failing one; an eps whose
-        # closed-form bracket leaves the float range (1e200, 1e-300, 1e307)
-        # fails the same way
+        # closed-form bracket leaves the float range (1e200, 1e307) fails the
+        # same way
         kind, *flags = argv
         assert main([kind, "--j", "4", "--steps", "3", *flags, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numeric range error")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-315", "5e-324"])
+    def test_tiny_eps_writes_finite_rows(self, tmp_path, eps):
+        # the closed-form bracket is summed as a series for small 2 N eps,
+        # and p(eps) stays finite for a subnormal eps
+        argv = ["rmt-compare", "--j", "4", "--steps", "3", "--ic_grid", "1",
+                "--eps_list", eps, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        (path,) = tmp_path.glob("*.tsv")
+        data = np.loadtxt(path, ndmin=2)
+        assert data.shape == (3, 4) and np.isfinite(data).all()
 
     def test_every_field_is_a_flag(self, tmp_path):
         main(["rmt-compare", "--j", "4", "--steps", "3", "--ic_grid", "1",

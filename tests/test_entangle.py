@@ -16,31 +16,30 @@ from ktops.entangle import (
     schmidt,
 )
 from ktops.evolve import (
-    CoupledParams,
-    PureState,
     TopParams,
-    evolve,
+    build_single_propagator,
+    coupling_phase_matrix,
     initial_product_state,
+    trajectory,
 )
 from ktops.husimi import m2_rdm
 from ktops.spincore import SpinQuantum
 
 
-def random_state(spin, seed=0) -> PureState:
+def random_state(spin, seed=0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = spin.dim
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a /= np.linalg.norm(a)
-    return PureState(spin=spin, amplitudes=a)
+    return a / np.linalg.norm(a)
 
 
-def linear_entropy_direct(state: PureState, subsystem: int = 1) -> float:
+def linear_entropy_direct(state: np.ndarray, subsystem: int = 1) -> float:
     """1 - Tr rho^2 without an eigendecomposition (Frobenius norm of the RDM)."""
     rho = reduce(state, subsystem).entries
     return float(1.0 - (np.abs(rho) ** 2).sum())
 
 
-def subsystem_symmetry_check(state: PureState) -> float:
+def subsystem_symmetry_check(state: np.ndarray) -> float:
     """|S_V(rho_1) - S_V(rho_2)|; zero for any exact Schmidt decomposition."""
     sv1, _ = entropies(schmidt(reduce(state, 1)))
     sv2, _ = entropies(schmidt(reduce(state, 2)))
@@ -97,7 +96,7 @@ class TestReduce:
     def test_matches_brute_force(self, two_j, subsystem):
         state = random_state(SpinQuantum(two_j), seed=two_j)
         rho = reduce(state, subsystem).entries
-        ref = brute_force_partial_trace(state.amplitudes, subsystem)
+        ref = brute_force_partial_trace(state, subsystem)
         np.testing.assert_allclose(rho, ref, atol=1e-13)
 
     def test_product_state_is_projector(self):
@@ -250,9 +249,10 @@ class TestSubsystemSymmetry:
 
     def test_evolved_state(self):
         spin = SpinQuantum(80)  # j = 40 keeps this quick
-        params = CoupledParams(TopParams(spin, 6.0), TopParams(spin, 6.0), 1e-2)
-        state = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
-        state = evolve(state, params, 200)
+        u = build_single_propagator(TopParams(spin, 6.0))
+        state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
+        for _, state in trajectory(state0, u, u, coupling_phase_matrix(spin, 1e-2), 200):
+            pass
         assert subsystem_symmetry_check(state) < 1e-8
 
 
@@ -305,12 +305,15 @@ class TestComponentStatistics:
 
 class TestRdmValidation:
     def test_rejects_non_hermitian(self):
-        spin = SpinQuantum(1)
         bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
-            ReducedDensityMatrix(spin=spin, entries=bad)
+            ReducedDensityMatrix(bad)
 
     def test_rejects_wrong_trace(self):
-        spin = SpinQuantum(1)
         with pytest.raises(ValueError):
-            ReducedDensityMatrix(spin=spin, entries=np.eye(2, dtype=complex))
+            ReducedDensityMatrix(np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            ReducedDensityMatrix(np.zeros(shape, dtype=complex))

@@ -1,10 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ktops.entangle import ReducedDensityMatrix, reduce
-from ktops.evolve import CoupledParams, PureState, TopParams, evolve, initial_product_state
+from ktops.evolve import (
+    TopParams,
+    build_single_propagator,
+    coupling_phase_matrix,
+    initial_product_state,
+    trajectory,
+)
 from ktops.husimi import (
     HusimiField,
     SphericalGrid,
@@ -109,8 +116,10 @@ def m2_rdm_loop(entries: np.ndarray) -> complex:
 
 
 def evolved_rdm(spin: SpinQuantum, steps: int):
-    params = CoupledParams(TopParams(spin, 6.0), TopParams(spin, 6.0), 1e-2)
-    state = evolve(initial_product_state(spin, 0.89, 0.63, 0.89, 0.63), params, steps)
+    u = build_single_propagator(TopParams(spin, 6.0))
+    state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
+    for _, state in trajectory(state0, u, u, coupling_phase_matrix(spin, 1e-2), steps):
+        pass
     return reduce(state, 1)
 
 
@@ -156,9 +165,9 @@ class TestFWeight:
 
     @pytest.mark.parametrize("two_j", [40, 81, 160])
     def test_matches_lgamma_oracle_sampled(self, two_j):
-        # both sides exponentiate log sums of size ~ j ln j; against a 40-digit
-        # evaluation at 2j = 160 the oracle is off by up to 5e-13 relative and
-        # the weights by up to 1.7e-12, hence rel=1e-11
+        # the oracle exponentiates log sums of size ~ j ln j; against a
+        # 40-digit evaluation at 2j = 160 it is off by up to 5e-13 relative,
+        # hence rel=1e-11 (the weights themselves are correctly rounded)
         spin = SpinQuantum(two_j)
         rng = np.random.default_rng(two_j)
         ms = spin.m_values()
@@ -168,6 +177,23 @@ class TestFWeight:
             if -spin.j <= m <= spin.j:
                 want = f_weight(spin, i, k, l, m)
                 assert f_table(spin, i, k, l, m) == pytest.approx(want, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 5, 160, 161, 520])
+    def test_weights_match_exact_fractions(self, two_j):
+        # w_s within 2 ulp of the exact rational (the subnormal weights of
+        # 2j = 520 included), sqrt_binom^2 within 2 ulp of the integer
+        sqrt_binom, w = _m2_weights(two_j + 1)
+        for i, got in enumerate(w):
+            want = Fraction(two_j + 1, (2 * two_j + 1) * math.comb(2 * two_j, i))
+            assert abs(Fraction(got) - want) <= 2 * Fraction(np.spacing(float(want)))
+        for k, got in enumerate(sqrt_binom):
+            want = math.comb(two_j, k)
+            assert abs(Fraction(got) ** 2 - want) <= 2 * Fraction(np.spacing(float(want)))
+
+    def test_weights_overflow_raises(self):
+        # C(2j, j) leaves the float range from 2j ~ 1030
+        with pytest.raises(FloatingPointError, match="M2 weights"):
+            _m2_weights(1201)
 
     def test_index_validation(self):
         for f in (f_weight, f_table):
@@ -223,11 +249,8 @@ class TestM2Rdm:
         assert np.mean(vals) == pytest.approx(expect, rel=0.05)
 
     def test_accepts_wrapped_rdm(self):
-        spin = SpinQuantum(8)
         v = random_vector(81, 3).reshape(9, 9)
-        v /= np.linalg.norm(v)
-        state = PureState(spin=spin, amplitudes=v)
-        rdm = reduce(state, 1)
+        rdm = reduce(v / np.linalg.norm(v), 1)
         assert m2_rdm(rdm) == pytest.approx(m2_rdm(rdm.entries), abs=1e-16)
 
     def test_overflow_raises(self):
@@ -314,7 +337,7 @@ def husimi_operands(spin: SpinQuantum, seed: int) -> dict:
     return {
         "vector": random_vector(n, seed),
         "raw": rho,
-        "wrapped": reduce(PureState(spin=spin, amplitudes=a / np.linalg.norm(a)), 1),
+        "wrapped": reduce(a / np.linalg.norm(a), 1),
     }
 
 

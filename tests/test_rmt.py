@@ -128,7 +128,7 @@ class TestPEpsilon:
         )
 
     def test_refined_closed_form_stays_below_one(self):
-        for eps in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0):
+        for eps in (5e-324, 1e-315, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0):
             p = _p_closed_refined(SPIN80, eps)
             assert p <= 1.0
             assert p == pytest.approx(p_epsilon_exact(SPIN80, eps), abs=2e-2)
@@ -158,6 +158,23 @@ class TestSrAnalytic:
             be = _sr_exact_bracket(SPIN80, eps)
             bc = _sr_closed_bracket(161, eps)
             assert bc == pytest.approx(be, abs=0.02)
+
+    @pytest.mark.parametrize("j", [4, 80])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-100, 1e-300])
+    def test_closed_bracket_against_mpmath(self, j, eps):
+        # the direct formula, in enough digits to survive its cancellation
+        # at small x = 2 N eps, against the series branch below x = 1
+        n = 2 * j + 1
+        e = mpmath.mpf(eps)
+        x = 2 * n * e
+        with mpmath.workdps(50 - 2 * int(mpmath.log10(x))):
+            lead = 2 / mpmath.mpf(n) * (1 + mpmath.si(x) / e)
+            corr = (1 - mpmath.cos(x) - mpmath.ci(x) + mpmath.log(x) + mpmath.euler) / (n * e) ** 2
+            want = float(lead - corr)
+        assert _sr_closed_bracket(n, eps) == pytest.approx(want, rel=1e-12)
+        assert sr_analytic(1, SpinQuantum.from_j(j), eps, "closed-form") == pytest.approx(
+            1.0 - want, abs=1e-12
+        )
 
     def test_monotone_and_saturating(self):
         eps = 1e-2
