@@ -14,8 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-_NORM_TOL = 1e-12
-
 
 def _kick(v: np.ndarray, delta) -> np.ndarray:
     """X' = Z cos(delta) + Y sin(delta), Y' = -Z sin(delta) + Y cos(delta),
@@ -24,20 +22,10 @@ def _kick(v: np.ndarray, delta) -> np.ndarray:
     # unpacks to numpy scalars, which keeps the single-point step cheap
     x, y, z = v.transpose(-1, *range(v.ndim - 1))
     c, s = np.cos(delta), np.sin(delta)
-    xo = z * c + y * s
-    yo = -z * s + y * c
     out = np.empty_like(v, dtype=float)
-    out[..., 0] = xo
-    out[..., 1] = yo
+    out[..., 0] = z * c + y * s
+    out[..., 1] = -z * s + y * c
     out[..., 2] = -x
-    # the step algebra preserves the input norm exactly; project only if
-    # roundoff drifted past tolerance, and back to the *input* norm so that
-    # off-sphere probe points (finite-difference Jacobians) stay untouched
-    r_in = np.sqrt(x * x + y * y + z * z)
-    r_out = np.sqrt(xo * xo + yo * yo + x * x)
-    drift = np.abs(r_out - r_in) > _NORM_TOL * r_in
-    if drift.any():
-        out *= np.divide(r_in, r_out, out=np.ones(np.shape(r_in)), where=drift)[..., None]
     return out
 
 

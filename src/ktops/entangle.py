@@ -58,12 +58,10 @@ def reduce(a: np.ndarray, subsystem: int) -> ReducedDensityMatrix:
 
 def rdm_entries(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> np.ndarray:
     """The matrix of an RDM.  A ReducedDensityMatrix was checked when it was
-    built; a raw array is checked for Hermiticity here."""
-    if isinstance(rdm, ReducedDensityMatrix):
-        return rdm.entries
-    entries = np.asarray(rdm)
-    _check_hermitian(entries, "matrix")
-    return entries
+    built; a raw array is wrapped in one here, so it gets the same checks."""
+    if not isinstance(rdm, ReducedDensityMatrix):
+        rdm = ReducedDensityMatrix(np.asarray(rdm))
+    return rdm.entries
 
 
 def schmidt(

@@ -2,10 +2,10 @@
 for coupled strongly chaotic tops.
 
 Two evaluation routes are exported for the linear-entropy law: the exact
-O(j^2) phase sums (folded to real cosine sums over one quadrant) and the
-large-j closed form built from sine and cosine integrals.  The closed form
-carries the large-j approximations of its derivation; both routes are kept so
-the approximation error is measurable rather than hidden.
+O(j^2) phase sums (each a weighted mean of cosines) and the large-j closed
+form built from sine and cosine integrals.  The closed form carries the
+large-j approximations of its derivation; both routes are kept so the
+approximation error is measurable rather than hidden.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import sici
 
 from .spincore import SpinQuantum
 
@@ -47,50 +46,29 @@ def predictions(n: int) -> RmtPrediction:
     )
 
 
-def si(x: float) -> float:
-    """Sine integral, odd in x."""
-    val = float(sici(abs(x))[0])
-    return val if x >= 0 else -val
+def _sici(x: float) -> tuple[float, float]:
+    """(Si(x), Ci(x)) for x >= 0.  scipy.special is imported on the first call,
+    so only the closed forms pay for it."""
+    from scipy.special import sici
+
+    si, ci = sici(x)
+    return float(si), float(ci)
 
 
-def ci(x: float) -> float:
-    """Cosine integral; defined for x > 0 only."""
-    if x <= 0.0:
-        raise ValueError(f"ci requires x > 0, got {x}")
-    return float(sici(x)[1])
+def _cos_mean(x: np.ndarray, w: np.ndarray, a: float) -> float:
+    """sum_{r,s} w_r w_s cos(a x_r x_s) / (sum_r w_r)^2."""
+    return float(w @ np.cos(a * np.outer(x, x)) @ w / w.sum() ** 2)
+
+
+def _phase_rate(spin: SpinQuantum, epsilon: float) -> float:
+    """eps / j, the phase per unit m1 m2; 0 at j = 0, where every m is 0."""
+    return epsilon / spin.j if spin.two_j else 0.0
 
 
 def p_epsilon_exact(spin: SpinQuantum, epsilon: float) -> float:
-    """p(eps) = N^-2 sum exp(-i eps m1 m2 / j), folded to a cosine quadrant sum.
-
-    Symmetric m ranges make the sum real and even in eps; the zero row and
-    column contribute (2N - 1)/N^2 for integer j and vanish for half-integer j.
-    """
-    tj = spin.two_j
-    n = spin.dim
-    if tj == 0:
-        return 1.0
-    a = 2.0 * epsilon / tj  # eps / j
-    if tj % 2 == 0:
-        m_pos = np.arange(1, tj // 2 + 1, dtype=float)
-        quad = np.cos(a * np.outer(m_pos, m_pos)).sum()
-        return float((2.0 * n - 1.0 + 4.0 * quad) / (n * n))
-    m_pos = np.arange(tj + 1, dtype=float)[1::2] / 2.0  # 1/2, 3/2, ..., j
-    quad = np.cos(a * np.outer(m_pos, m_pos)).sum()
-    return float(4.0 * quad / (n * n))
-
-
-def p_epsilon_closed(n: int, epsilon: float) -> float:
-    """Large-j closed form p(eps) ~ (2/N)[1 + Si(N eps / 2) / eps].
-
-    At eps -> 0+ the approximation tends to 1 + 2/N rather than 1; that bias
-    is inherent to the continuum limit it came from and left uncorrected
-    here.  eps = 0 itself returns the exact value 1.
-    """
-    if epsilon == 0.0:
-        return 1.0
-    e = abs(epsilon)
-    return float(2.0 / n * (1.0 + si(0.5 * n * e) / e))
+    """p(eps) = N^-2 sum_{m1,m2} exp(-i eps m1 m2 / j), real and even in eps
+    since the m range is symmetric."""
+    return _cos_mean(spin.m_values(), np.ones(spin.dim), _phase_rate(spin, epsilon))
 
 
 def _p_closed_refined(spin: SpinQuantum, epsilon: float) -> float:
@@ -98,35 +76,30 @@ def _p_closed_refined(spin: SpinQuantum, epsilon: float) -> float:
 
         p = (2N - 1)/N^2 + (4j / (N^2 eps)) Si(j eps)
 
-    Unlike the headline form this tends to exactly 1 as eps -> 0 and stays
-    <= 1 (since Si(y)/y <= 1), which keeps the long-time power p^(4n-4)
-    bounded.  It feeds sr_analytic's closed-form mode.  It is evaluated as
+    This tends to exactly 1 as eps -> 0 and stays <= 1 (since Si(y)/y <= 1),
+    which keeps the long-time power p^(4n-4) bounded.  It is evaluated as
     (2N - 1)/N^2 + ((N - 1)/N)^2 Si(y)/y with y = j eps, where 4j/(N^2 eps)
     would overflow for a subnormal eps.
+
+    With N ~ 2j it becomes the headline form (2/N)[1 + Si(N eps / 2) / eps],
+    which tends to 1 + 2/N rather than 1 as eps -> 0; that form is not used.
     """
     n = spin.dim
     y = spin.j * abs(epsilon)
     if y == 0.0:
         return 1.0
-    return float((2.0 * n - 1.0) / (n * n) + (n - 1.0) ** 2 / (n * n) * (si(y) / y))
+    return float((2.0 * n - 1.0) / (n * n) + (n - 1.0) ** 2 / (n * n) * (_sici(y)[0] / y))
 
 
 def _sr_exact_bracket(spin: SpinQuantum, epsilon: float) -> float:
     """(1/N^4) sum over the four magnetic indices of exp[-i eps (m1-n1)(m2-n2)/j].
 
-    Reduces to integer index differences l = m - n with multiplicities
-    (N - |l|), folded to one quadrant: the result is
-    [2N^3 - N^2 + 4 sum_{l1,l2>=1} (N-l1)(N-l2) cos(eps l1 l2 / j)] / N^4.
+    The phase depends only on the differences l = m - n in -2j..2j, each
+    taken by N - |l| index pairs, so the sum is a cosine mean over l with
+    those weights (which add up to N^2).
     """
-    tj = spin.two_j
-    n = spin.dim
-    if tj == 0:
-        return 1.0
-    a = 2.0 * epsilon / tj
-    l = np.arange(1, tj + 1, dtype=float)
-    wvec = n - l
-    quad = wvec @ np.cos(a * np.outer(l, l)) @ wvec
-    return float((2.0 * n**3 - n**2 + 4.0 * quad) / float(n) ** 4)
+    l = np.arange(-spin.two_j, spin.two_j + 1, dtype=float)
+    return _cos_mean(l, spin.dim - np.abs(l), _phase_rate(spin, epsilon))
 
 
 # Below x = 1 the group g(x) = 1 - cos x - Ci(x) + ln x + gamma cancels
@@ -153,14 +126,15 @@ def _sr_closed_bracket(n: int, epsilon: float) -> float:
     """
     e = abs(epsilon)
     x = 2.0 * n * e
+    si, ci = _sici(x)
     try:  # (n e)^2 overflows, or x overflows to inf
-        lead = 2.0 / n * (1.0 + si(x) / e)
+        lead = 2.0 / n * (1.0 + si / e)
         if x < 1.0:
             corr = 0.0
             for c in reversed(_CORR_SERIES):
                 corr = corr * (x * x) + c
         else:
-            corr = (1.0 - math.cos(x) - ci(x) + math.log(x) + EULER_GAMMA) / (n * e) ** 2
+            corr = (1.0 - math.cos(x) - ci + math.log(x) + EULER_GAMMA) / (n * e) ** 2
     except (ArithmeticError, ValueError) as exc:
         raise FloatingPointError(
             f"closed-form bracket is out of float range at eps = {epsilon!r}"

@@ -1,8 +1,9 @@
 """Spin-j combinatorics, the pi/2 Wigner rotation matrix, and SU(2) coherent states.
 
 Everything downstream (propagators, Husimi moments, occupancy measures) consumes
-these primitives.  All factorials and binomials are handled in log space so that
-j = 80 scale quantities like C(160, 80) or (4j+1)! never overflow a double.
+these primitives.  The factorials and binomials here are handled in log space,
+so that quantities like C(160, 80) or (4j+1)! never overflow a double; the
+Husimi M2 weights (husimi._m2_weights) are rounded from exact integers instead.
 """
 
 from __future__ import annotations
@@ -80,22 +81,10 @@ def wigner_d_half_pi(spin: SpinQuantum) -> np.ndarray:
 
 
 def coherent_amplitudes(spin: SpinQuantum, theta0: float, phi0: float) -> np.ndarray:
-    """Amplitudes <j, m | theta0, phi0> of the directed angular momentum state.
-
-    Component at m is (1 + |g|^2)^(-j) g^(j-m) sqrt(C(2j, j+m)) with
-    g = exp(i phi0) tan(theta0 / 2), evaluated in log space.  The poles are
-    handled exactly: theta0 = 0 puts all weight on m = +j, theta0 = pi on m = -j.
-    """
+    """Amplitudes <j, m | theta0, phi0> of the directed angular momentum state,
+    for theta0 in [0, pi]: one row of coherent_amplitude_block."""
     if not 0.0 <= theta0 <= math.pi:
         raise ValueError(f"theta0 must lie in [0, pi], got {theta0}")
-    n = spin.dim
-    vec = np.zeros(n, dtype=complex)
-    if theta0 == 0.0:
-        vec[-1] = 1.0
-        return vec
-    if theta0 == math.pi:
-        vec[0] = 1.0
-        return vec
     return coherent_amplitude_block(spin, np.array([theta0]), np.array([phi0]))[0]
 
 
@@ -104,8 +93,10 @@ def coherent_amplitude_block(
 ) -> np.ndarray:
     """Coherent amplitude vectors for many (theta, phi) pairs, shape (len, N).
 
-    Rows come out unit norm.  Angles whose half-tangent degenerates to 0 or
-    infinity in floats are snapped to the corresponding pole basis vector.
+    Component at m is (1 + |g|^2)^(-j) g^(j-m) sqrt(C(2j, j+m)) with
+    g = exp(i phi) tan(theta / 2), evaluated in log space; rows come out unit
+    norm.  The poles are snapped from the angle to a basis vector: theta = 0
+    (or too small to halve) to m = +j, theta = pi to m = -j.
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -113,15 +104,13 @@ def coherent_amplitude_block(
     m = spin.m_values()
     ln_c = ln_binomials(spin.two_j)
 
-    t = np.tan(0.5 * thetas)
-    at_north = t == 0.0  # theta rounded down to the pole
-    at_south = ~np.isfinite(t)
-    safe_t = np.where(at_north | at_south, 1.0, t)
-    ln_t = np.log(safe_t)
+    at_north = 0.5 * thetas == 0.0
+    at_south = thetas == math.pi  # tan(pi/2) is 1.6e16 in floats, not inf
+    t = np.where(at_north | at_south, 1.0, np.tan(0.5 * thetas))
     j_minus_m = j - m  # descending from 2j to 0
     ln_mag = (
-        -j * np.log1p(safe_t * safe_t).reshape(-1, 1)
-        + np.outer(ln_t, j_minus_m)
+        -j * np.log1p(t * t).reshape(-1, 1)
+        + np.outer(np.log(t), j_minus_m)
         + 0.5 * ln_c.reshape(1, -1)
     )
     block = np.exp(ln_mag) * np.exp(1j * np.outer(phis, j_minus_m))

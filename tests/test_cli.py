@@ -29,11 +29,16 @@ def read_table(path):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # importing scipy.linalg adds 0.10-0.13 s to every CLI start-up
+    # importing scipy.linalg adds 0.10-0.13 s to every CLI start-up, and
+    # scipy.special (Si/Ci, needed only by the closed-form S_R law) 0.25 s
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, ktops.cli; assert 'scipy.linalg' not in sys.modules"
+    code = (
+        "import sys, ktops.cli\n"
+        "for name in ('scipy.linalg', 'scipy.special'):\n"
+        "    assert name not in sys.modules, name"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

@@ -22,7 +22,7 @@ from ktops.evolve import (
     initial_product_state,
     trajectory,
 )
-from ktops.husimi import m2_rdm
+from ktops.husimi import SphericalGrid, husimi_field, m2_rdm
 from ktops.spincore import SpinQuantum
 
 
@@ -177,7 +177,7 @@ class TestSchmidt:
 
     def test_rdm_checked_once_per_step(self, monkeypatch):
         # the RDM is checked when reduce() builds it; schmidt and m2_rdm trust
-        # a ReducedDensityMatrix and check only a raw array
+        # a ReducedDensityMatrix and wrap (so check) only a raw array
         checked = []
         real_check = entangle._check_hermitian
 
@@ -193,7 +193,7 @@ class TestSchmidt:
         checked.clear()
         schmidt(rho.entries)
         m2_rdm(rho.entries)
-        assert checked == ["matrix", "matrix"]
+        assert checked == ["RDM", "RDM"]
 
 
 class TestEntropies:
@@ -317,3 +317,17 @@ class TestRdmValidation:
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="square"):
             ReducedDensityMatrix(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("kernel", ["schmidt", "m2_rdm", "husimi_field"])
+    @pytest.mark.parametrize("bad", ["trace3", "non_square"])
+    def test_raw_array_gets_full_checks(self, kernel, bad):
+        # a raw array goes through the same checks as a ReducedDensityMatrix;
+        # trace 3 once gave S_R = -0.8 from schmidt with no error
+        arr = {"trace3": 3 * np.eye(5) / 5, "non_square": np.ones((5, 4)) / 5}[bad]
+        run = {
+            "schmidt": schmidt,
+            "m2_rdm": m2_rdm,
+            "husimi_field": lambda a: husimi_field(a, SphericalGrid.build(SpinQuantum(4), 3, 5)),
+        }[kernel]
+        with pytest.raises(ValueError, match="trace" if bad == "trace3" else "square"):
+            run(arr)

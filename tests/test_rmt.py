@@ -6,17 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktops.rmt import (
-    EULER_GAMMA,
-    ci,
-    p_epsilon_closed,
-    p_epsilon_exact,
-    predictions,
-    si,
-    sr_analytic,
-    sr_weak_rate,
-)
-from ktops.rmt import _p_closed_refined, _sr_closed_bracket, _sr_exact_bracket
+from ktops.rmt import EULER_GAMMA, p_epsilon_exact, predictions, sr_analytic, sr_weak_rate
+from ktops.rmt import _p_closed_refined, _sici, _sr_closed_bracket, _sr_exact_bracket
 from ktops.spincore import SpinQuantum
 
 SPIN80 = SpinQuantum(160)
@@ -30,6 +21,17 @@ def p_exact_brute(spin, eps):
         return 1.0
     phases = np.exp(-2j * eps / spin.two_j * np.outer(m, m))
     return complex(phases.sum() / n**2)
+
+
+def sr_bracket_brute(spin, eps):
+    """Direct four-index sum over (m1, n1, m2, n2) of exp[-i eps (m1-n1)(m2-n2)/j],
+    without the reduction to index differences."""
+    if spin.two_j == 0:
+        return 1.0
+    m = spin.m_values()
+    d = np.subtract.outer(m, m)  # d[m1, n1] = m1 - n1
+    phases = np.exp(-1j * eps / spin.j * np.multiply.outer(d, d))
+    return complex(phases.sum() / spin.dim**4)
 
 
 class TestPredictions:
@@ -58,29 +60,19 @@ class TestPredictions:
 
 class TestSiCi:
     def test_si_zero(self):
-        assert si(0.0) == 0.0
+        assert _sici(0.0)[0] == 0.0
 
     def test_frozen_points(self):
         # adaptive quadrature of sin(t)/t gives Si(pi) = 1.8519370...
-        assert si(math.pi) == pytest.approx(1.8519370, abs=1e-7)
+        assert _sici(math.pi)[0] == pytest.approx(1.8519370, abs=1e-7)
         # series gamma + ln x + sum (-1)^k x^(2k) / (2k (2k)!) at x = 1
-        assert ci(1.0) == pytest.approx(0.3374039, abs=1e-7)
+        assert _sici(1.0)[1] == pytest.approx(0.3374039, abs=1e-7)
 
     @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 1.0, math.pi, 12.0, 250.0, 1e4])
     def test_against_mpmath(self, x):
-        assert abs(si(x) - float(mpmath.si(x))) < 1e-10
-        assert abs(ci(x) - float(mpmath.ci(x))) < 1e-10
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(-1e4, 1e4))
-    def test_si_odd(self, x):
-        assert abs(si(-x) + si(x)) < 1e-12
-
-    def test_ci_domain(self):
-        with pytest.raises(ValueError):
-            ci(0.0)
-        with pytest.raises(ValueError):
-            ci(-1.0)
+        si, ci = _sici(x)
+        assert abs(si - float(mpmath.si(x))) < 1e-10
+        assert abs(ci - float(mpmath.ci(x))) < 1e-10
 
 
 class TestPEpsilon:
@@ -103,29 +95,6 @@ class TestPEpsilon:
             brute = p_exact_brute(spin, eps)
             assert abs(brute.imag) < 1e-12
             assert p_epsilon_exact(spin, eps) == pytest.approx(brute.real, abs=1e-12)
-
-    def test_closed_matches_exact_at_strong_coupling(self):
-        # the closed form sits above the exact sum by its continuum bias,
-        # which is 2/N up to O(eps^2); at eps = 1e-2 the measured gap is
-        # 0.0129 against 2/N = 0.0124
-        pe = p_epsilon_exact(SPIN80, 1e-2)
-        pc = p_epsilon_closed(161, 1e-2)
-        assert pc - pe == pytest.approx(2.0 / 161.0, rel=0.1)
-        assert abs(pc - pe) < 0.02
-
-    def test_closed_small_eps_bias(self):
-        # Taylor expansion of Si makes the approximation tend to 1 + 2/N
-        n = 161
-        assert p_epsilon_closed(n, 1e-9) == pytest.approx(1 + 2 / n, abs=1e-9)
-        assert p_epsilon_closed(n, 0.0) == 1.0
-
-    def test_closed_large_argument_asymptote(self):
-        # Si saturates at pi/2
-        n = 161
-        eps = 3.0
-        assert p_epsilon_closed(n, eps) == pytest.approx(
-            2 / n * (1 + math.pi / (2 * eps)), abs=1e-4
-        )
 
     def test_refined_closed_form_stays_below_one(self):
         for eps in (5e-324, 1e-315, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0):
@@ -152,6 +121,14 @@ class TestSrAnalytic:
 
     def test_exact_bracket_at_zero_is_one(self):
         assert _sr_exact_bracket(SPIN80, 0.0) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 5, 8])
+    def test_exact_bracket_matches_brute_force(self, two_j):
+        spin = SpinQuantum(two_j)
+        for eps in (1e-3, 0.02, 0.4, 3.0, -0.7):
+            brute = sr_bracket_brute(spin, eps)
+            assert abs(brute.imag) < 1e-12
+            assert _sr_exact_bracket(spin, eps) == pytest.approx(brute.real, abs=1e-12)
 
     def test_closed_bracket_approximates_exact(self):
         for eps in (1e-4, 1e-3, 1e-2):

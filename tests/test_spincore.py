@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ktops.spincore import (
     SpinQuantum,
+    coherent_amplitude_block,
     coherent_amplitudes,
     ln_binomials,
     ln_factorials,
@@ -157,6 +158,17 @@ class TestCoherentAmplitudes:
     def test_south_pole(self):
         v = coherent_amplitudes(SpinQuantum(6), math.pi, -2.0)
         assert v[0] == 1.0 and np.abs(v[1:]).max() == 0.0
+
+    def test_block_snaps_both_poles(self):
+        # tan(pi/2) is 1.6e16 in floats, so theta = pi is snapped from the
+        # angle; no roundoff may leak onto m = -j + 1
+        for two_j in (1, 6, 160):
+            block = coherent_amplitude_block(
+                SpinQuantum(two_j), np.array([0.0, math.pi]), np.array([1.234, -2.0])
+            )
+            expect = np.zeros((2, two_j + 1))
+            expect[0, -1] = expect[1, 0] = 1.0
+            np.testing.assert_array_equal(block, expect)
 
     def test_half_spin_equator(self):
         v = coherent_amplitudes(SpinQuantum(1), math.pi / 2, 0.0)
