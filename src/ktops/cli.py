@@ -24,7 +24,7 @@ from .entangle import entropies, ks_exponential, reduce, schmidt
 from .evolve import (
     TopParams,
     build_single_propagator,
-    coupling_phase_matrix,
+    coupled_propagator,
     initial_product_state,
     single_top_evolve,
     trajectory,
@@ -254,21 +254,10 @@ def _write_table(path: Path, header: str, *columns) -> int:
 # experiment engines
 
 
-def _coupled_propagators(cfg: RunConfig, eps: float) -> tuple:
-    """U1, U2 and the coupling table of the configured pair of tops at eps."""
-    spin = cfg.spin
-    k1, k2 = cfg.kick_pair()
-    return (
-        build_single_propagator(TopParams(spin, k1)),
-        build_single_propagator(TopParams(spin, k2)),
-        coupling_phase_matrix(spin, eps),
-    )
-
-
 def _coupled_trajectory(cfg: RunConfig, n_steps: int):
     """(n, state) of the configured coupled run for n = 0..n_steps."""
     state0 = initial_product_state(cfg.spin, *cfg.angles())
-    return trajectory(state0, *_coupled_propagators(cfg, cfg.eps), n_steps)
+    return trajectory(state0, *coupled_propagator(cfg.spin, *cfg.kick_pair(), cfg.eps), n_steps)
 
 
 def entropy_series(cfg: RunConfig) -> dict:
@@ -297,7 +286,7 @@ def single_top_series(cfg: RunConfig) -> dict:
     prop = build_single_propagator(TopParams(spin, cfg.k))
     v0 = coherent_amplitudes(spin, cfg.theta0, cfg.phi0)
     rec = {"n": [], "m2": [], "delta_n_eff": []}
-    for n, v in single_top_evolve(v0, prop, cfg.steps):
+    for n, v in single_top_evolve(v0, *prop, cfg.steps):
         if not cfg.records(n):
             continue
         m2 = m2_pure(v)
@@ -311,7 +300,7 @@ def rmt_compare_series(cfg: RunConfig, eps: float) -> dict:
     """Measured S_R averaged over a lattice of initial coherent products,
     next to both analytic evaluation routes."""
     spin = cfg.spin
-    u1, u2, coupling = _coupled_propagators(cfg, eps)
+    d, phases = coupled_propagator(spin, *cfg.kick_pair(), eps)
     g = cfg.ic_grid
     thetas = (np.arange(g) + 0.5) * math.pi / g
     phis = -math.pi + (np.arange(g) + 0.5) * 2.0 * math.pi / g
@@ -320,7 +309,7 @@ def rmt_compare_series(cfg: RunConfig, eps: float) -> dict:
     for th in thetas:
         for ph in phis:
             state0 = initial_product_state(spin, th, ph, th, ph)
-            for n, a in trajectory(state0, u1, u2, coupling, cfg.steps):
+            for n, a in trajectory(state0, d, phases, cfg.steps):
                 if n == 0:
                     continue
                 rho = a @ a.conj().T
@@ -349,7 +338,7 @@ def stats_components(cfg: RunConfig) -> np.ndarray:
     if cfg.stats_mode == "state":
         prop = build_single_propagator(TopParams(spin, cfg.k))
         v0 = coherent_amplitudes(spin, cfg.theta0, cfg.phi0)
-        for n, v in single_top_evolve(v0, prop, max(snaps)):
+        for n, v in single_top_evolve(v0, *prop, max(snaps)):
             if n in snaps:
                 pool.append(v.copy())
     else:

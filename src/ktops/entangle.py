@@ -11,11 +11,6 @@ import numpy as np
 _HERMITICITY_TOL = 1e-10
 
 
-def _check_hermitian(entries: np.ndarray, what: str) -> None:
-    if np.abs(entries - entries.conj().T).max() > _HERMITICITY_TOL:
-        raise ValueError(f"{what} not Hermitian within tolerance")
-
-
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
     entries: np.ndarray
@@ -23,7 +18,8 @@ class ReducedDensityMatrix:
     def __post_init__(self):
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError(f"RDM must be square, got shape {self.entries.shape}")
-        _check_hermitian(self.entries, "RDM")
+        if np.abs(self.entries - self.entries.conj().T).max() > _HERMITICITY_TOL:
+            raise ValueError("RDM not Hermitian within tolerance")
         tr = np.trace(self.entries).real
         if abs(tr - 1.0) > 1e-8:
             raise ValueError(f"RDM trace {tr!r} too far from 1")

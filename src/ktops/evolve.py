@@ -1,11 +1,15 @@
 """Floquet propagators of single and coupled kicked tops, and step-by-step
 pure-state evolution.
 
-A joint pure state is the N x N array psi[m1 + j, m2 + j] = <m1, m2 | psi>
-and a propagator the N x N array U.  One period acts as
-|psi'> = C * (U1 @ psi @ U2^T), where U_i has matrix elements
-exp(-i k s^2 / 2j) d_{s m}(pi/2) and C is the diagonal coupling phase
-exp(-i eps s1 s2 / j).  The N^2 x N^2 joint operator is never formed.
+A joint pure state is the N x N array psi[m1 + j, m2 + j] = <m1, m2 | psi>.
+A top's propagator U = diag(kick) d is kept as its two factors: the kick
+phases exp(-i k s^2 / 2j) and the real matrix d = d(pi/2).  One coupled
+period C * (U1 @ psi @ U2^T), with C the diagonal coupling phase
+exp(-i eps s1 s2 / j), is then phases * (d @ psi @ d^T), where
+phases = C * outer(kick1, kick2) holds every phase of the period.  Both
+products with d are real matrix products on the real and imaginary parts of
+psi, half the flops of complex ones; the N^2 x N^2 joint operator is never
+formed.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ class TopParams:
     k: float
 
 
-def build_single_propagator(params: TopParams) -> np.ndarray:
-    """U[s, m] = exp(-i k s^2 / 2j) d_{s m}(pi/2); columns index the source basis."""
+def build_single_propagator(params: TopParams) -> tuple[np.ndarray, np.ndarray]:
+    """(kick, d) of U = diag(kick) d, that is U[s, m] = exp(-i k s^2 / 2j)
+    d_{s m}(pi/2): the complex kick phases and the real d(pi/2)."""
     spin = params.spin
     m = spin.m_values()
     # torsion phase exp(-i k m^2 / 2j); the j = 0 top has no torsion axis
@@ -40,7 +45,7 @@ def build_single_propagator(params: TopParams) -> np.ndarray:
             raise FloatingPointError("kick phases overflowed; k out of supported range")
     else:
         kick = np.ones(1, dtype=complex)
-    return kick.reshape(-1, 1) * wigner_d_half_pi(spin)
+    return kick, wigner_d_half_pi(spin)
 
 
 def coupling_phase_matrix(spin: SpinQuantum, epsilon: float) -> np.ndarray:
@@ -55,6 +60,16 @@ def coupling_phase_matrix(spin: SpinQuantum, epsilon: float) -> np.ndarray:
     return phases
 
 
+def coupled_propagator(
+    spin: SpinQuantum, k1: float, k2: float, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d, phases) of one coupled period, for coupled_step and trajectory:
+    the real d(pi/2) and phases = C * outer(kick1, kick2)."""
+    kick1, d = build_single_propagator(TopParams(spin, k1))
+    kick2, _ = build_single_propagator(TopParams(spin, k2))
+    return d, coupling_phase_matrix(spin, epsilon) * np.outer(kick1, kick2)
+
+
 def initial_product_state(
     spin: SpinQuantum, theta1: float, phi1: float, theta2: float, phi2: float
 ) -> np.ndarray:
@@ -64,25 +79,28 @@ def initial_product_state(
     return np.outer(c1, c2)
 
 
-def coupled_step(
-    psi: np.ndarray, u1: np.ndarray, u2: np.ndarray, coupling: np.ndarray
-) -> np.ndarray:
-    """One Floquet period: independent top propagators, then the coupling
-    phases of coupling_phase_matrix."""
-    out = u1 @ psi @ u2.T
-    out *= coupling
+def coupled_step(psi: np.ndarray, d: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """One Floquet period, phases * (d @ psi @ d^T).  d @ psi is one real
+    product on the float view of psi, whose rows interleave real and
+    imaginary parts; d^T then acts on the real and imaginary parts apart."""
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    left = (d @ psi.view(float)).view(complex)
+    out = np.empty_like(left)
+    out.real = left.real @ d.T
+    out.imag = left.imag @ d.T
+    out *= phases
     return out
 
 
 def trajectory(
-    psi0: np.ndarray, u1: np.ndarray, u2: np.ndarray, coupling: np.ndarray, n_steps: int
+    psi0: np.ndarray, d: np.ndarray, phases: np.ndarray, n_steps: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, state after n coupled periods) for n = 0..n_steps.  A state
     whose norm is off 1 by more than 1e-8 raises ValueError, psi0 included."""
     psi = psi0
     for n in range(n_steps + 1):
         if n > 0:
-            psi = coupled_step(psi, u1, u2, coupling)
+            psi = coupled_step(psi, d, phases)
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm!r} too far from 1 at step {n}")
@@ -90,11 +108,12 @@ def trajectory(
 
 
 def single_top_evolve(
-    vector: np.ndarray, u: np.ndarray, n_steps: int
+    vector: np.ndarray, kick: np.ndarray, d: np.ndarray, n_steps: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, U^n vector) for n = 0..n_steps, the vector basis-ordered."""
+    """Yield (n, U^n vector) for n = 0..n_steps, the vector basis-ordered and
+    U = diag(kick) d as build_single_propagator returns it."""
     v = np.asarray(vector, dtype=complex)
     yield 0, v
     for n in range(1, n_steps + 1):
-        v = u @ v
+        v = kick * (d @ v.real + 1j * (d @ v.imag))
         yield n, v

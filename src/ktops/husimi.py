@@ -1,6 +1,5 @@
 """Husimi fields on the sphere, analytic second moments of pure states and
-reduced density matrices, effective phase-space occupancy, and a quadrature
-oracle for the analytic sums.
+reduced density matrices, and effective phase-space occupancy.
 
 A coherent state at (theta, phi) has amplitudes r_m(theta) e^{i phi (j-m)}
 with r real, so on the product grid the Husimi function is a Fourier sum in
@@ -12,14 +11,17 @@ The analytic second moment rests on the four-index weight
     F(2j; i, k, l, m) = (2j+1)/(4j+1)! sqrt(C(2j,j-i) C(2j,j-k) C(2j,j-l)
                         C(2j,j-m)) (2j-i-l)! (2j+i+l)!
 
-contracted under the selection rule i + l = k + m.  Fixing the diagonal sum
-s = i + l makes the constrained sum a correlation of binomial-weighted
-amplitudes, with the weights rounded from exact integer binomials.
+contracted under the selection rule i + l = k + m (Gnutzmann & Zyczkowski,
+J. Phys. A 34, 10123 (2001)).  Fixing the diagonal sum s = i + l makes the
+constrained sum a correlation of binomial-weighted amplitudes, with the
+weights rounded from exact integer binomials.  For a density matrix these
+amplitudes form a Hermitian matrix, whose real part is symmetric and whose
+imaginary part is antisymmetric; the correlation is then real term by term
+and is taken as two real ones.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -30,8 +32,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .entangle import ReducedDensityMatrix, rdm_entries
 from .spincore import SpinQuantum, coherent_amplitude_block
-
-_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -127,38 +127,40 @@ def m2_pure(vector: np.ndarray) -> float:
 def _skew(x: np.ndarray) -> np.ndarray:
     """skew(x)[i, t] = x[i, i + t - (n-1)], zero outside x; shape n x (2n-1).
 
-    Row i of a zero-padded copy, read from column i on: one strided view."""
+    Row i holds x[i] from column n-1-i on, so x is written through one
+    strided view of the C-contiguous result."""
     n = x.shape[0]
-    padded = np.zeros((n, 3 * n - 2), dtype=x.dtype)
-    padded[:, n - 1 : 2 * n - 1] = x
-    row, col = padded.strides
-    return as_strided(padded, shape=(n, 2 * n - 1), strides=(row + col, col), writeable=False)
+    out = np.zeros((n, 2 * n - 1), dtype=x.dtype)
+    item = out.itemsize
+    as_strided(out[0, n - 1 :], shape=(n, n), strides=((2 * n - 2) * item, item))[...] = x
+    return out
 
 
 def m2_rdm(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> float:
     """Analytic second moment of the Husimi function of a density matrix.
 
     Per diagonal sum a this is a two-dimensional correlation
-    T(a) = sum_{i,k} B_{ik} B_{a-i,a-k} of B = rho * sqrt(C C').  With F = B
-    flipped on both axes, T(a) = sum_i G[i, i+s] at s = n-1-a, where
-    G = skew(B) skew(F)^T is one complex matrix product; the diagonal sums of
-    G are the column sums of skew(G).  The imaginary residue of the
-    analytically real total is asserted small, then dropped.  The entries of
-    B grow like C(2j, j), so at large j the products overflow; a non-finite
+    T(a) = sum_{i,k} B_{ik} B_{a-i,a-k} of B = rho * sqrt(C C').  With
+    X = Re B and Y = Im B, Re T(a) = corr(X)(a) - corr(Y)(a), and Im T(a)
+    vanishes term by term for Hermitian B (X symmetric, Y antisymmetric), so
+    only the two real correlations are formed.  With F = X flipped on both
+    axes, corr(X)(a) = sum_i G[i, i+s] at s = n-1-a, where
+    G = skew(X) skew(F)^T is one real matrix product, and likewise for Y;
+    the diagonal sums of G are the column sums of skew(G).  The entries of B
+    grow like C(2j, j), so at large j the products overflow; a non-finite
     total raises FloatingPointError.
     """
     entries = rdm_entries(rdm)
     sqrt_binom, w = _m2_weights(entries.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
         b = entries * np.outer(sqrt_binom, sqrt_binom)
-        g = _skew(b) @ _skew(b[::-1, ::-1]).T
-        t = _skew(g).sum(axis=0)[::-1]  # t[a] = T(a)
-        total = complex(w @ t)
-    if not cmath.isfinite(total):
+        x, y = b.real, b.imag
+        g = _skew(x) @ _skew(x[::-1, ::-1]).T - _skew(y) @ _skew(y[::-1, ::-1]).T
+        t = _skew(g).sum(axis=0)[::-1]  # t[a] = Re T(a)
+        total = float(w @ t)
+    if not math.isfinite(total):
         raise FloatingPointError("m2_rdm overflowed; spin out of supported range")
-    if abs(total.imag) > _IMAG_TOL:
-        raise FloatingPointError(f"imaginary residue {total.imag} exceeds tolerance")
-    return float(total.real)
+    return total
 
 
 def delta_n_eff(m2: float, n: int) -> float:
@@ -193,9 +195,3 @@ def husimi_field(
     values = (c @ np.exp(-1j * np.outer(d, grid.phis))).real
     clip = float(max(0.0, -values.min()))
     return HusimiField(grid=grid, values=np.maximum(values, 0.0), clip_magnitude=clip)
-
-
-def m2_quadrature(field: HusimiField) -> float:
-    """Grid estimate of the Husimi second moment; the oracle for the analytic
-    sums in m2_pure / m2_rdm."""
-    return float((field.grid.weights * field.values**2).sum())

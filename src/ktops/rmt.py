@@ -2,8 +2,8 @@
 for coupled strongly chaotic tops.
 
 Two evaluation routes are exported for the linear-entropy law: the exact
-O(j^2) phase sums (each a weighted mean of cosines) and the large-j closed
-form built from sine and cosine integrals.  The closed form carries the
+O(j^2) phase sums (each 1 plus a weighted mean of cos - 1) and the large-j
+closed form built from sine and cosine integrals.  The closed form carries the
 large-j approximations of its derivation; both routes are kept so the
 approximation error is measurable rather than hidden.
 """
@@ -55,9 +55,10 @@ def _sici(x: float) -> tuple[float, float]:
     return float(si), float(ci)
 
 
-def _cos_mean(x: np.ndarray, w: np.ndarray, a: float) -> float:
-    """sum_{r,s} w_r w_s cos(a x_r x_s) / (sum_r w_r)^2."""
-    return float(w @ np.cos(a * np.outer(x, x)) @ w / w.sum() ** 2)
+def _cos_defect(x: np.ndarray, w: np.ndarray, a: float) -> float:
+    """sum_{r,s} w_r w_s (cos(a x_r x_s) - 1) / (sum_r w_r)^2, each term
+    summed as -2 sin^2(a x_r x_s / 2), so a small defect keeps its digits."""
+    return float(w @ (-2.0 * np.sin(0.5 * a * np.outer(x, x)) ** 2) @ w / w.sum() ** 2)
 
 
 def _phase_rate(spin: SpinQuantum, epsilon: float) -> float:
@@ -65,10 +66,15 @@ def _phase_rate(spin: SpinQuantum, epsilon: float) -> float:
     return epsilon / spin.j if spin.two_j else 0.0
 
 
+def _p_defect_exact(spin: SpinQuantum, epsilon: float) -> float:
+    """p(eps) - 1 by the exact sum (see p_epsilon_exact)."""
+    return _cos_defect(spin.m_values(), np.ones(spin.dim), _phase_rate(spin, epsilon))
+
+
 def p_epsilon_exact(spin: SpinQuantum, epsilon: float) -> float:
     """p(eps) = N^-2 sum_{m1,m2} exp(-i eps m1 m2 / j), real and even in eps
     since the m range is symmetric."""
-    return _cos_mean(spin.m_values(), np.ones(spin.dim), _phase_rate(spin, epsilon))
+    return 1.0 + _p_defect_exact(spin, epsilon)
 
 
 def _p_closed_refined(spin: SpinQuantum, epsilon: float) -> float:
@@ -99,7 +105,7 @@ def _sr_exact_bracket(spin: SpinQuantum, epsilon: float) -> float:
     those weights (which add up to N^2).
     """
     l = np.arange(-spin.two_j, spin.two_j + 1, dtype=float)
-    return _cos_mean(l, spin.dim - np.abs(l), _phase_rate(spin, epsilon))
+    return 1.0 + _cos_defect(l, spin.dim - np.abs(l), _phase_rate(spin, epsilon))
 
 
 # Below x = 1 the group g(x) = 1 - cos x - Ci(x) + ln x + gamma cancels
@@ -150,7 +156,9 @@ def sr_analytic(
     mode "exact-sum" evaluates both p and the bracket by the exact O(j^2)
     phase sums; mode "closed-form" uses the Si/Ci expressions (with the
     unsimplified p, which stays <= 1).  The symmetric magnetic spectrum makes
-    p real, so the power needs no modulus.  eps = 0 gives 0 for all n.
+    p real.  The power is exp(4(n-1) log1p(p - 1)) from the defect p - 1, so
+    the rounding of p is not raised to the power 4(n-1); a p <= 0, which
+    has no logarithm, is raised directly.  eps = 0 gives 0 for all n.
     n_step may be an array of steps: p and the bracket do not depend on n, so
     they are evaluated once and an array of the same shape is returned; a
     scalar n_step gives a float.
@@ -160,16 +168,18 @@ def sr_analytic(
         raise ValueError("step index must be >= 1")
     n = spin.dim
     if epsilon == 0.0:
-        p, bracket = 1.0, 1.0  # S_R = 0 at every step
+        defect, bracket = 0.0, 1.0  # S_R = 0 at every step
     elif mode == "exact-sum":
-        p = p_epsilon_exact(spin, epsilon)
+        defect = _p_defect_exact(spin, epsilon)
         bracket = _sr_exact_bracket(spin, epsilon)
     elif mode == "closed-form":
-        p = _p_closed_refined(spin, epsilon)
+        defect = _p_closed_refined(spin, epsilon) - 1.0
         bracket = _sr_closed_bracket(n, epsilon)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    out = 1.0 - p ** (4 * (steps - 1)) * bracket
+    k = 4 * (steps - 1)
+    power = np.exp(k * math.log1p(defect)) if defect > -1.0 else (1.0 + defect) ** k
+    out = 1.0 - power * bracket
     return float(out) if steps.ndim == 0 else out
 
 

@@ -19,17 +19,19 @@ from ktops.entangle import entropies, ks_exponential, reduce, schmidt
 from ktops.evolve import (
     TopParams,
     build_single_propagator,
+    coupled_propagator,
     coupled_step,
-    coupling_phase_matrix,
     initial_product_state,
+    single_top_evolve,
     trajectory,
 )
-from ktops.husimi import SphericalGrid, delta_n_eff, gamma_factor, husimi_field, m2_pure, m2_quadrature, m2_rdm
+from ktops.husimi import SphericalGrid, delta_n_eff, gamma_factor, husimi_field, m2_pure, m2_rdm
 from ktops.rmt import predictions, sr_weak_rate
 from ktops.spincore import SpinQuantum, coherent_amplitudes, wigner_d_half_pi
 from ktops.cli import RunConfig, rmt_compare_series, single_top_series
 
 from test_classical import correct_map, wrong_coupled_map
+from test_husimi import m2_quadrature
 from test_spincore import wigner_entry_exact
 
 _RUNS: dict = {}
@@ -47,8 +49,7 @@ def coupled_run(j: int, k1: float, k2: float, eps: float, steps: int = 1000) -> 
         return _RUNS[key]
     spin = SpinQuantum.from_j(j)
     n_dim = spin.dim
-    u1 = build_single_propagator(TopParams(spin, k1))
-    u2 = build_single_propagator(TopParams(spin, k2))
+    d, phases = coupled_propagator(spin, k1, k2, eps)
     state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
     out = {
         "s_v": np.empty(steps), "s_r": np.empty(steps),
@@ -56,7 +57,7 @@ def coupled_run(j: int, k1: float, k2: float, eps: float, steps: int = 1000) -> 
         "max_trace_err": 0.0, "max_clip": 0.0, "max_sv_asymmetry": 0.0,
     }
 
-    for n, st in trajectory(state0, u1, u2, coupling_phase_matrix(spin, eps), steps):
+    for n, st in trajectory(state0, d, phases, steps):
         if n == 0:
             continue
         rho = reduce(st, 1)
@@ -202,10 +203,11 @@ def test_criterion_08_oracle_equivalence():
     worst_step = 0.0
     for two_j in (2, 4, 6):
         spin = SpinQuantum(two_j)
-        p1 = build_single_propagator(TopParams(spin, 1.3))
-        p2 = build_single_propagator(TopParams(spin, 2.7))
+        kick1, d = build_single_propagator(TopParams(spin, 1.3))
+        kick2, _ = build_single_propagator(TopParams(spin, 2.7))
+        p1, p2 = kick1[:, None] * d, kick2[:, None] * d
         state = initial_product_state(spin, 0.89, 0.63, 1.2, -2.0)
-        stepped = coupled_step(state, p1, p2, coupling_phase_matrix(spin, 0.23))
+        stepped = coupled_step(state, *coupled_propagator(spin, 1.3, 2.7, 0.23))
         m = spin.m_values()
         dense = np.diag(np.exp(-2j * 0.23 / two_j * np.outer(m, m).ravel())) @ np.kron(p1, p2)
         ref = (dense @ state.ravel()).reshape(spin.dim, spin.dim)
@@ -275,9 +277,8 @@ def test_criterion_09_canonicity_suite():
 def test_criterion_10_invariant_suite():
     # unitarity drift over 1e4 coupled steps at j = 80
     spin = SpinQuantum(160)
-    u = build_single_propagator(TopParams(spin, 6.0))
     state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
-    for _, state in trajectory(state0, u, u, coupling_phase_matrix(spin, 1e-2), 10**4):
+    for _, state in trajectory(state0, *coupled_propagator(spin, 6.0, 6.0, 1e-2), 10**4):
         pass
     drift = abs(np.linalg.norm(state) - 1.0)
 
@@ -309,10 +310,8 @@ def test_criterion_11_gue_statistics():
     threshold = 1.36 / math.sqrt(161)
     # late-time chaotic single-top state
     spin = SpinQuantum(160)
-    prop = build_single_propagator(TopParams(spin, 6.0))
-    v = coherent_amplitudes(spin, 0.89, 0.63)
-    for _ in range(500):
-        v = prop @ v
+    v0 = coherent_amplitudes(spin, 0.89, 0.63)
+    *_, (_, v) = single_top_evolve(v0, *build_single_propagator(TopParams(spin, 6.0)), 500)
     ks_state = ks_exponential(161 * np.abs(v) ** 2)
 
     # pooled eigenvector components of the saturated RDM

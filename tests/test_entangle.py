@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktops import entangle
 from ktops.cli import RunConfig, entropy_series
 from ktops.entangle import (
     ReducedDensityMatrix,
@@ -16,9 +15,7 @@ from ktops.entangle import (
     schmidt,
 )
 from ktops.evolve import (
-    TopParams,
-    build_single_propagator,
-    coupling_phase_matrix,
+    coupled_propagator,
     initial_product_state,
     trajectory,
 )
@@ -179,21 +176,21 @@ class TestSchmidt:
         # the RDM is checked when reduce() builds it; schmidt and m2_rdm trust
         # a ReducedDensityMatrix and wrap (so check) only a raw array
         checked = []
-        real_check = entangle._check_hermitian
+        real_check = ReducedDensityMatrix.__post_init__
 
-        def counting_check(entries, what):
-            checked.append(what)
-            real_check(entries, what)
+        def counting_check(self):
+            checked.append(self.entries.shape)
+            real_check(self)
 
-        monkeypatch.setattr(entangle, "_check_hermitian", counting_check)
+        monkeypatch.setattr(ReducedDensityMatrix, "__post_init__", counting_check)
         series = entropy_series(RunConfig(kind="evolve", j=4, steps=6))
         assert list(series["n"]) == [1, 2, 3, 4, 5, 6]
-        assert checked == ["RDM"] * 6
+        assert checked == [(9, 9)] * 6
         rho = reduce(random_state(SpinQuantum(4), 1), 1)
         checked.clear()
         schmidt(rho.entries)
         m2_rdm(rho.entries)
-        assert checked == ["RDM", "RDM"]
+        assert checked == [(5, 5), (5, 5)]
 
 
 class TestEntropies:
@@ -249,9 +246,8 @@ class TestSubsystemSymmetry:
 
     def test_evolved_state(self):
         spin = SpinQuantum(80)  # j = 40 keeps this quick
-        u = build_single_propagator(TopParams(spin, 6.0))
         state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
-        for _, state in trajectory(state0, u, u, coupling_phase_matrix(spin, 1e-2), 200):
+        for _, state in trajectory(state0, *coupled_propagator(spin, 6.0, 6.0, 1e-2), 200):
             pass
         assert subsystem_symmetry_check(state) < 1e-8
 

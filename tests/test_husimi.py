@@ -8,8 +8,9 @@ from ktops.entangle import ReducedDensityMatrix, reduce
 from ktops.evolve import (
     TopParams,
     build_single_propagator,
-    coupling_phase_matrix,
+    coupled_propagator,
     initial_product_state,
+    single_top_evolve,
     trajectory,
 )
 from ktops.husimi import (
@@ -20,7 +21,6 @@ from ktops.husimi import (
     gamma_factor,
     husimi_field,
     m2_pure,
-    m2_quadrature,
     m2_rdm,
 )
 from ktops.spincore import SpinQuantum, coherent_amplitude_block, coherent_amplitudes
@@ -115,12 +115,50 @@ def m2_rdm_loop(entries: np.ndarray) -> complex:
     return total
 
 
+def m2_quadrature(field: HusimiField) -> float:
+    """Grid estimate of the Husimi second moment on a SphericalGrid: the
+    midpoint oracle for the analytic sums at small j."""
+    return float((field.grid.weights * field.values**2).sum())
+
+
+def m2_gauss_legendre(rho: np.ndarray) -> float:
+    """M2 = N/(4 pi) * integral of Q^2 over the sphere, exact at any j.
+
+    Q(theta, phi) = sum_d c_d(theta) e^{-i d phi} with
+    c_d = sum_m r_m r_{m+d} rho[m, m+d], so Parseval turns the phi integral
+    into 2 pi sum_d |c_d|^2, a polynomial of degree 4j in cos(theta) that
+    2j + 1 Gauss-Legendre nodes integrate exactly: M2 = (N/2) sum_g w_g
+    sum_d |c_d(theta_g)|^2.  The real amplitudes
+    r_m = sqrt(C(2j, j+m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2) are built
+    here from math.lgamma, so nothing is shared with the module's M2 weights
+    or its coherent states.
+    """
+    n = rho.shape[0]
+    x, wx = np.polynomial.legendre.leggauss(n)
+    k = np.arange(n)  # j + m
+    ln_binom = np.array([math.lgamma(n) - math.lgamma(i + 1) - math.lgamma(n - i) for i in k])
+    # cos^2(theta/2) = (1 + x)/2 and sin^2(theta/2) = (1 - x)/2
+    ln_cos2, ln_sin2 = np.log1p(x) - math.log(2.0), np.log1p(-x) - math.log(2.0)
+    r = np.exp(0.5 * (ln_binom + np.outer(ln_cos2, k) + np.outer(ln_sin2, n - 1 - k)))
+    total = np.zeros(n)
+    for dk in range(1 - n, n):
+        lo, hi = max(0, -dk), min(n, n - dk)
+        c = (r[:, lo:hi] * r[:, lo + dk : hi + dk]) @ np.diagonal(rho, dk)
+        total += c.real**2 + c.imag**2
+    return float(n / 2 * (wx @ total))
+
+
 def evolved_rdm(spin: SpinQuantum, steps: int):
-    u = build_single_propagator(TopParams(spin, 6.0))
     state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
-    for _, state in trajectory(state0, u, u, coupling_phase_matrix(spin, 1e-2), steps):
+    for _, state in trajectory(state0, *coupled_propagator(spin, 6.0, 6.0, 1e-2), steps):
         pass
     return reduce(state, 1)
+
+
+def evolved_vector(spin: SpinQuantum, steps: int) -> np.ndarray:
+    v0 = coherent_amplitudes(spin, 0.89, 0.63)
+    *_, (_, v) = single_top_evolve(v0, *build_single_propagator(TopParams(spin, 6.0)), steps)
+    return v
 
 
 class TestFWeight:
@@ -226,6 +264,13 @@ class TestM2Pure:
         vals = [m2_pure(random_vector(n, seed)) for seed in range(100)]
         assert np.mean(vals) == pytest.approx(2.0 / (n + 1), rel=0.05)
 
+    @pytest.mark.parametrize("two_j", [1, 2, 10, 160, 320])
+    def test_matches_gauss_legendre_oracle(self, two_j):
+        # single-top states evolved 20 kicks, j = 1/2 ... 160
+        v = evolved_vector(SpinQuantum(two_j), 20)
+        want = m2_gauss_legendre(np.outer(v, v.conj()))
+        assert m2_pure(v) == pytest.approx(want, rel=1e-12, abs=0)
+
 
 class TestM2Rdm:
     @pytest.mark.parametrize("two_j", [2, 9, 160])
@@ -278,12 +323,38 @@ class TestM2Rdm:
             assert np.isfinite(want) and abs(want.imag) < 1e-10
             assert m2_rdm(rho) == pytest.approx(want.real, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("two_j", [1, 2, 10, 160, 320])
+    def test_matches_gauss_legendre_oracle(self, two_j):
+        # coupled-top RDMs evolved 20 kicks, j = 1/2 ... 160
+        rho = evolved_rdm(SpinQuantum(two_j), 20).entries
+        assert m2_rdm(rho) == pytest.approx(m2_gauss_legendre(rho), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("two_j", [1, 10, 160, 520])
+    def test_slice_loop_is_real_on_hermitian_input(self, two_j):
+        # m2_rdm takes Re T(a) and checks no imaginary residue: on Hermitian
+        # input the complex slice-loop total is real to roundoff, while a
+        # complex symmetric (so non-Hermitian) change of 1e-6 shows at once
+        rho = evolved_rdm(SpinQuantum(two_j), 20).entries
+        total = m2_rdm_loop(rho)
+        assert abs(total.imag) <= 1e-14 * abs(total.real)
+        assert abs(m2_rdm_loop(rho + 1e-6j * np.ones(rho.shape)).imag) > 1e-7
+
     def test_rejects_non_hermitian_array(self):
         with pytest.raises(ValueError, match="Hermitian"):
             m2_rdm(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
 
 
 class TestQuadratureOracle:
+    @pytest.mark.parametrize("two_j", [0, 1, 10, 160])
+    def test_gauss_legendre_closed_forms(self, two_j):
+        # a coherent state gives N/(4j+1), the maximally mixed state 1/N
+        spin = SpinQuantum(two_j)
+        n = spin.dim
+        v = coherent_amplitudes(spin, 0.89, 0.63)
+        coherent = m2_gauss_legendre(np.outer(v, v.conj()))
+        assert coherent == pytest.approx(n / (2 * two_j + 1), rel=1e-12)
+        assert m2_gauss_legendre(np.eye(n) / n) == pytest.approx(1.0 / n, rel=1e-12)
+
     def test_coherent_state_refined_grid(self):
         spin = SpinQuantum(10)  # j = 5
         grid = SphericalGrid.build(spin, 400, 800)

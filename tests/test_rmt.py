@@ -34,6 +34,28 @@ def sr_bracket_brute(spin, eps):
     return complex(phases.sum() / spin.dim**4)
 
 
+def sr_exact_mpmath(two_j: int, eps: float, steps: int) -> list:
+    """S_R(n) = 1 - p^(4(n-1)) * bracket for n = 1..steps in 40-digit
+    arithmetic, for integer j: each cosine sum is grouped by |m1 m2| (for p)
+    or |l l'| (for the bracket, weights (N - |l|)(N - |l'|))."""
+    n = two_j + 1
+    half = two_j // 2
+    p_count, bracket_weight = {}, {}
+    for m1 in range(-half, half + 1):
+        for m2 in range(-half, half + 1):
+            key = abs(m1 * m2)
+            p_count[key] = p_count.get(key, 0) + 1
+    for l1 in range(-two_j, two_j + 1):
+        for l2 in range(-two_j, two_j + 1):
+            key = abs(l1 * l2)
+            bracket_weight[key] = bracket_weight.get(key, 0) + (n - abs(l1)) * (n - abs(l2))
+    with mpmath.workdps(40):
+        a = mpmath.mpf(eps) / half  # eps / j
+        p = mpmath.fsum(c * mpmath.cos(a * q) for q, c in p_count.items()) / n**2
+        bracket = mpmath.fsum(w * mpmath.cos(a * q) for q, w in bracket_weight.items()) / n**4
+        return [float(1 - p ** (4 * (step - 1)) * bracket) for step in range(1, steps + 1)]
+
+
 class TestPredictions:
     def test_values_at_161(self):
         p = predictions(161)
@@ -186,6 +208,23 @@ class TestSrAnalytic:
         scalar = [sr_analytic(int(n), SPIN80, eps, mode) for n in steps.ravel()]
         assert all(isinstance(v, float) for v in scalar)
         np.testing.assert_array_equal(vals.ravel(), scalar)
+
+    @pytest.mark.parametrize("two_j", [20, 160])
+    def test_exact_sum_against_mpmath_to_n_1000(self, two_j):
+        # the power is taken from p - 1, so the error does not grow with n
+        steps = np.arange(1, 1001)
+        got = sr_analytic(steps, SpinQuantum(two_j), 1e-3, "exact-sum")
+        want = np.array(sr_exact_mpmath(two_j, 1e-3, 1000))
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_nonpositive_p_is_raised_directly(self):
+        # at j = 1/2, p = cos(eps / 2), negative at eps = 4; the even power
+        # 4(n - 1) of a negative p is |p|^(4(n - 1))
+        spin = SpinQuantum(1)
+        steps = np.arange(1, 6)
+        assert p_epsilon_exact(spin, 4.0) == pytest.approx(math.cos(2.0), abs=1e-15)
+        want = 1.0 - math.cos(2.0) ** (4 * (steps - 1)) * _sr_exact_bracket(spin, 4.0)
+        np.testing.assert_allclose(sr_analytic(steps, spin, 4.0), want, rtol=1e-14, atol=0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
