@@ -78,17 +78,16 @@ def _poisson_tensor(v: np.ndarray) -> np.ndarray:
     return b
 
 
-def poisson_residual(map_fn: Callable, state: np.ndarray, h: float = 1e-5) -> float:
+def poisson_residual(map_fn: Callable, state: np.ndarray) -> float:
     """Max-norm canonicity defect ||J B(x) J^T - B(x')|| of a map of coupled
     states (..., 2, 3), such as coupled_map with fixed k1, k2, epsilon.
 
-    J is the central-difference Jacobian of map_fn at the state, from all 12
-    probe points mapped in one call; B is the spin Poisson tensor.  Exactly
-    canonical maps give a residual at the finite-difference floor (~1e-8 for
-    h = 1e-5).
+    J is the central-difference Jacobian of map_fn at the state, step 1e-5,
+    from all 12 probe points mapped in one call; B is the spin Poisson
+    tensor.  Exactly canonical maps give a residual at the finite-difference
+    floor (~1e-8).
     """
-    if not 1e-7 <= h <= 1e-4:
-        raise ValueError(f"h = {h} outside sane range [1e-7, 1e-4]")
+    h = 1e-5
     x0 = np.asarray(state, dtype=float)
     dx = h * np.eye(6).reshape(6, 2, 3)
     images = map_fn(np.concatenate([x0 + dx, x0 - dx])).reshape(12, 6)

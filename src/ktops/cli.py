@@ -40,6 +40,11 @@ class ConfigError(Exception):
     pass
 
 
+def _rmt_compare_file(eps: float) -> str:
+    """The rmt-compare output file of one eps; eps_list values must not share one."""
+    return f"rmt_compare_eps{eps:g}.tsv"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved experiment parameters; defaults reproduce the j = 80,
@@ -92,6 +97,10 @@ class RunConfig:
             val = getattr(self, key)
             if val is not None and len(val) == 0:
                 raise ConfigError(f"{key} must not be empty")
+        names = [_rmt_compare_file(eps) for eps in self.eps_list or ()]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"eps_list {self.eps_list} writes {name} more than once")
         if self.snapshots is not None and min(self.snapshots) < 0:
             raise ConfigError(f"snapshots must be nonnegative, got {self.snapshots}")
         if self.stats_mode not in ("state", "rdm"):
@@ -260,21 +269,25 @@ def _coupled_trajectory(cfg: RunConfig, n_steps: int):
     return trajectory(state0, *coupled_propagator(cfg.spin, *cfg.kick_pair(), cfg.eps), n_steps)
 
 
+def _single_trajectory(cfg: RunConfig, n_steps: int):
+    """(n, state) of the configured single-top run for n = 0..n_steps."""
+    v0 = coherent_amplitudes(cfg.spin, cfg.theta0, cfg.phi0)
+    return single_top_evolve(v0, *build_single_propagator(TopParams(cfg.spin, cfg.k)), n_steps)
+
+
 def entropy_series(cfg: RunConfig) -> dict:
-    """Coupled run: per recorded step S_V, S_R, M2 of rho_1, occupancy, gamma."""
+    """Coupled run: per recorded step S_V, S_R, occupancy and gamma of rho_1."""
     n_dim = cfg.spin.dim
-    rec = {"n": [], "s_v": [], "s_r": [], "m2": [], "delta_n_eff": [], "gamma": []}
+    rec = {"n": [], "s_v": [], "s_r": [], "delta_n_eff": [], "gamma": []}
     for n, st in _coupled_trajectory(cfg, cfg.steps):
         if not cfg.records(n):
             continue
-        rho = reduce(st, 1)
+        rho = reduce(st)
         s_v, s_r = entropies(schmidt(rho))
-        m2 = m2_rdm(rho)
-        dn = delta_n_eff(m2, n_dim)
+        dn = delta_n_eff(m2_rdm(rho), n_dim)
         rec["n"].append(n)
         rec["s_v"].append(s_v)
         rec["s_r"].append(s_r)
-        rec["m2"].append(m2)
         rec["delta_n_eff"].append(dn)
         rec["gamma"].append(gamma_factor(s_v, dn, n_dim))
     return {key: np.asarray(val) for key, val in rec.items()}
@@ -282,17 +295,14 @@ def entropy_series(cfg: RunConfig) -> dict:
 
 def single_top_series(cfg: RunConfig) -> dict:
     """Single-top run: per recorded step the pure-state M2 and occupancy."""
-    spin = cfg.spin
-    prop = build_single_propagator(TopParams(spin, cfg.k))
-    v0 = coherent_amplitudes(spin, cfg.theta0, cfg.phi0)
     rec = {"n": [], "m2": [], "delta_n_eff": []}
-    for n, v in single_top_evolve(v0, *prop, cfg.steps):
+    for n, v in _single_trajectory(cfg, cfg.steps):
         if not cfg.records(n):
             continue
         m2 = m2_pure(v)
         rec["n"].append(n)
         rec["m2"].append(m2)
-        rec["delta_n_eff"].append(delta_n_eff(m2, spin.dim))
+        rec["delta_n_eff"].append(delta_n_eff(m2, cfg.spin.dim))
     return {key: np.asarray(val) for key, val in rec.items()}
 
 
@@ -332,20 +342,17 @@ def stats_components(cfg: RunConfig) -> np.ndarray:
     each snapshot ('all' pools every eigenvector, 'top' the upper half of
     the spectrum).
     """
-    spin = cfg.spin
     snaps = set(cfg.snapshot_steps())
     pool = []
     if cfg.stats_mode == "state":
-        prop = build_single_propagator(TopParams(spin, cfg.k))
-        v0 = coherent_amplitudes(spin, cfg.theta0, cfg.phi0)
-        for n, v in single_top_evolve(v0, *prop, max(snaps)):
+        for n, v in _single_trajectory(cfg, max(snaps)):
             if n in snaps:
                 pool.append(v.copy())
     else:
         for n, st in _coupled_trajectory(cfg, max(snaps)):
             if n not in snaps:
                 continue
-            spec = schmidt(reduce(st, 1), vectors=True)
+            spec = schmidt(reduce(st), vectors=True)
             cols = spec.eigenvectors.shape[1]
             take = cols if cfg.pool == "all" else max(1, cols // 2)
             for col in range(take):
@@ -395,7 +402,7 @@ def _run_husimi(cfg: RunConfig, outdir: Path) -> dict:
         # no name holds the field, so it is freed once written instead of
         # being held while the next one is computed: one field sets peak RSS
         files[name] = _write_table(outdir / name, header,
-                                   husimi_field(reduce(st, 1), grid).values)
+                                   husimi_field(reduce(st), grid).values)
     return files
 
 
@@ -412,7 +419,7 @@ def _run_rmt_compare(cfg: RunConfig, outdir: Path) -> dict:
     computed = [(eps, rmt_compare_series(cfg, eps)) for eps in cfg.epsilons()]
     files = {}
     for eps, series in computed:
-        name = f"rmt_compare_eps{eps:g}.tsv"
+        name = _rmt_compare_file(eps)
         files[name] = _write_table(
             outdir / name, "# n\tsr_measured\tsr_exact_sum\tsr_closed_form",
             series["n"], series["sr_measured"],

@@ -40,16 +40,10 @@ class SchmidtSpectrum:
     clip_magnitude: float
 
 
-def reduce(a: np.ndarray, subsystem: int) -> ReducedDensityMatrix:
-    """Partial trace of |psi><psi| over the other top, from the N x N
-    amplitudes a[m1 + j, m2 + j] = <m1, m2 | psi>."""
-    if subsystem == 1:
-        rho = a @ a.conj().T
-    elif subsystem == 2:
-        rho = a.T @ a.conj()
-    else:
-        raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    return ReducedDensityMatrix(rho)
+def reduce(a: np.ndarray) -> ReducedDensityMatrix:
+    """rho_1, the partial trace of |psi><psi| over top 2, from the N x N
+    amplitudes a[m1 + j, m2 + j] = <m1, m2 | psi>; rho_2 is reduce(a.T)."""
+    return ReducedDensityMatrix(a @ a.conj().T)
 
 
 def rdm_entries(rdm: Union[ReducedDensityMatrix, np.ndarray]) -> np.ndarray:

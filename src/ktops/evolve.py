@@ -32,20 +32,22 @@ class TopParams:
     k: float
 
 
+def _kick_phases(spin: SpinQuantum, k: float) -> np.ndarray:
+    """The torsion phases exp(-i k m^2 / 2j); the j = 0 top has no torsion axis."""
+    if spin.two_j == 0:
+        return np.ones(1, dtype=complex)
+    m = spin.m_values()
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        kick = np.exp(-1j * k * m * m / spin.two_j)
+    if not np.isfinite(kick).all():
+        raise FloatingPointError("kick phases overflowed; k out of supported range")
+    return kick
+
+
 def build_single_propagator(params: TopParams) -> tuple[np.ndarray, np.ndarray]:
     """(kick, d) of U = diag(kick) d, that is U[s, m] = exp(-i k s^2 / 2j)
     d_{s m}(pi/2): the complex kick phases and the real d(pi/2)."""
-    spin = params.spin
-    m = spin.m_values()
-    # torsion phase exp(-i k m^2 / 2j); the j = 0 top has no torsion axis
-    if spin.two_j > 0:
-        with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
-            kick = np.exp(-1j * params.k * m * m / spin.two_j)
-        if not np.isfinite(kick).all():
-            raise FloatingPointError("kick phases overflowed; k out of supported range")
-    else:
-        kick = np.ones(1, dtype=complex)
-    return kick, wigner_d_half_pi(spin)
+    return _kick_phases(params.spin, params.k), wigner_d_half_pi(params.spin)
 
 
 def coupling_phase_matrix(spin: SpinQuantum, epsilon: float) -> np.ndarray:
@@ -66,8 +68,7 @@ def coupled_propagator(
     """(d, phases) of one coupled period, for coupled_step and trajectory:
     the real d(pi/2) and phases = C * outer(kick1, kick2)."""
     kick1, d = build_single_propagator(TopParams(spin, k1))
-    kick2, _ = build_single_propagator(TopParams(spin, k2))
-    return d, coupling_phase_matrix(spin, epsilon) * np.outer(kick1, kick2)
+    return d, coupling_phase_matrix(spin, epsilon) * np.outer(kick1, _kick_phases(spin, k2))
 
 
 def initial_product_state(

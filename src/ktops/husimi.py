@@ -36,30 +36,20 @@ from .spincore import SpinQuantum, coherent_amplitude_block
 
 @dataclass(frozen=True)
 class SphericalGrid:
-    """Midpoint (theta, phi) lattice with per-node Haar weights.
-
-    Weights are (2j+1)/(4pi) sin(theta) dtheta dphi, so the weighted sum of
-    ones is the number of Planck cells N up to O(dtheta^2) quadrature error.
-    Midpoints never touch the poles, so coherent amplitudes need no special
-    casing during field evaluation.
-    """
+    """Midpoint (theta, phi) lattice.  Midpoints never touch the poles, so
+    coherent amplitudes need no special casing during field evaluation."""
 
     spin: SpinQuantum
     thetas: np.ndarray
     phis: np.ndarray
-    weights: np.ndarray  # shape (n_theta, n_phi)
 
     @classmethod
     def build(cls, spin: SpinQuantum, n_theta: int, n_phi: int) -> "SphericalGrid":
         if n_theta < 1 or n_phi < 1:
             raise ValueError("grid sizes must be positive")
-        d_theta = math.pi / n_theta
-        d_phi = 2.0 * math.pi / n_phi
-        thetas = (np.arange(n_theta) + 0.5) * d_theta
-        phis = -math.pi + (np.arange(n_phi) + 0.5) * d_phi
-        w_theta = spin.dim / (4.0 * math.pi) * np.sin(thetas) * d_theta * d_phi
-        weights = np.repeat(w_theta.reshape(-1, 1), n_phi, axis=1)
-        return cls(spin, thetas, phis, weights)
+        thetas = (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
+        phis = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+        return cls(spin, thetas, phis)
 
 
 @dataclass(frozen=True)
@@ -67,7 +57,6 @@ class HusimiField:
     """<z|rho|z> sampled on a spherical grid; clip_magnitude audits how much
     negative roundoff was clipped away (zero for exact arithmetic)."""
 
-    grid: SphericalGrid
     values: np.ndarray
     clip_magnitude: float
 
@@ -178,13 +167,11 @@ def gamma_factor(s_v: float, delta_n_eff_value: float, n: int) -> float:
 
 
 def husimi_field(
-    op: Union[ReducedDensityMatrix, np.ndarray], grid: SphericalGrid
+    rdm: Union[ReducedDensityMatrix, np.ndarray], grid: SphericalGrid
 ) -> HusimiField:
     """<z|rho|z> over the grid as a Fourier sum in phi (see the module
-    docstring); a 1-d amplitude vector v is taken as rho = v v^dagger."""
-    if np.ndim(op) == 1:
-        op = np.outer(op, np.conj(op))
-    rho = rdm_entries(op)
+    docstring)."""
+    rho = rdm_entries(rdm)
     n = grid.spin.dim
     r = coherent_amplitude_block(grid.spin, grid.thetas, np.zeros_like(grid.thetas)).real
     d = np.arange(1 - n, n)
@@ -194,4 +181,4 @@ def husimi_field(
         c[:, col] = (r[:, lo:hi] * r[:, lo + dk : hi + dk]) @ np.diagonal(rho, dk)
     values = (c @ np.exp(-1j * np.outer(d, grid.phis))).real
     clip = float(max(0.0, -values.min()))
-    return HusimiField(grid=grid, values=np.maximum(values, 0.0), clip_magnitude=clip)
+    return HusimiField(values=np.maximum(values, 0.0), clip_magnitude=clip)

@@ -1,9 +1,9 @@
 """Spin-j combinatorics, the pi/2 Wigner rotation matrix, and SU(2) coherent states.
 
 Everything downstream (propagators, Husimi moments, occupancy measures) consumes
-these primitives.  The factorials and binomials here are handled in log space,
-so that quantities like C(160, 80) or (4j+1)! never overflow a double; the
-Husimi M2 weights (husimi._m2_weights) are rounded from exact integers instead.
+these primitives.  The binomials here are handled in log space, so that
+quantities like C(160, 80) never overflow a double; the Husimi M2 weights
+(husimi._m2_weights) are rounded from exact integers instead.
 """
 
 from __future__ import annotations
@@ -49,16 +49,11 @@ class SpinQuantum:
         return np.arange(self.dim) - self.j
 
 
-def ln_factorials(n: int) -> np.ndarray:
-    """lf[i] = ln(i!) for i = 0..n, a running sum of ln i."""
-    lf = np.zeros(n + 1)
-    lf[1:] = np.cumsum(np.log(np.arange(1, n + 1, dtype=float)))
-    return lf
-
-
 def ln_binomials(two_j: int) -> np.ndarray:
-    """ln C(2j, k) for k = 0..2j; k and 2j - k give identical floats."""
-    lf = ln_factorials(two_j)
+    """ln C(2j, k) for k = 0..2j from lf[i] = ln(i!), a running sum of ln i;
+    k and 2j - k give identical floats."""
+    lf = np.zeros(two_j + 1)
+    lf[1:] = np.cumsum(np.log(np.arange(1, two_j + 1, dtype=float)))
     k = np.arange(two_j + 1)
     lo = np.minimum(k, two_j - k)
     return lf[two_j] - lf[lo] - lf[two_j - lo]

@@ -60,7 +60,7 @@ def coupled_run(j: int, k1: float, k2: float, eps: float, steps: int = 1000) -> 
     for n, st in trajectory(state0, d, phases, steps):
         if n == 0:
             continue
-        rho = reduce(st, 1)
+        rho = reduce(st)
         out["max_trace_err"] = max(
             out["max_trace_err"], abs(np.trace(rho.entries).real - 1.0)
         )
@@ -75,7 +75,7 @@ def coupled_run(j: int, k1: float, k2: float, eps: float, steps: int = 1000) -> 
         out["delta_n_eff"][i] = dn
         out["gamma"][i] = gamma_factor(s_v, dn, n_dim)
         if n % 50 == 0 or n == steps:
-            sv2, _ = entropies(schmidt(reduce(st, 2)))
+            sv2, _ = entropies(schmidt(reduce(st.T)))
             out["max_sv_asymmetry"] = max(out["max_sv_asymmetry"], abs(s_v - sv2))
 
     out["final_state"] = st
@@ -193,11 +193,12 @@ def test_criterion_08_oracle_equivalence():
         grid = SphericalGrid.build(spin, 400, 800)
         v = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
         v /= np.linalg.norm(v)
-        worst_m2 = max(worst_m2, abs(m2_quadrature(husimi_field(v, grid)) - m2_pure(v)))
+        rho = np.outer(v, v.conj())
+        worst_m2 = max(worst_m2, abs(m2_quadrature(husimi_field(rho, grid), grid) - m2_pure(v)))
         a = rng.normal(size=(spin.dim, spin.dim)) + 1j * rng.normal(size=(spin.dim, spin.dim))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        worst_m2 = max(worst_m2, abs(m2_quadrature(husimi_field(rho, grid)) - m2_rdm(rho)))
+        worst_m2 = max(worst_m2, abs(m2_quadrature(husimi_field(rho, grid), grid) - m2_rdm(rho)))
 
     # coupled step vs dense operator, j <= 3
     worst_step = 0.0
@@ -230,7 +231,7 @@ def test_criterion_08_oracle_equivalence():
         n = spin.dim
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a /= np.linalg.norm(a)
-        rho = reduce(a, 1).entries
+        rho = reduce(a).entries
         ref = np.zeros((n, n), dtype=complex)
         for m1 in range(n):
             for n1 in range(n):
@@ -316,7 +317,7 @@ def test_criterion_11_gue_statistics():
 
     # pooled eigenvector components of the saturated RDM
     run = coupled_run(80, 6.0, 6.0, 1e-2)
-    spec = schmidt(reduce(run["final_state"], 1), vectors=True)
+    spec = schmidt(reduce(run["final_state"]), vectors=True)
     pooled = spec.eigenvectors.T.ravel()
     ks_rdm = ks_exponential(161 * np.abs(pooled) ** 2)
 

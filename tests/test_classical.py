@@ -237,8 +237,3 @@ class TestCanonicity:
         rng = np.random.default_rng(9)
         s = np.stack([random_state(rng) for _ in range(5)])
         assert np.abs(wrong_coupled_map(6.0, 3.0, 0.0)(s) - coupled_map(s, 6.0, 3.0, 0.0)).max() < 1e-15
-
-    def test_h_range_enforced(self):
-        s = np.stack([STANDARD_POINT, STANDARD_POINT])
-        with pytest.raises(ValueError):
-            poisson_residual(correct_map(1.0, 1.0, 0.0), s, h=1e-2)

@@ -257,6 +257,7 @@ REJECTED_INPUTS = [
     ["evolve", "--k1", "nan"],
     ["evolve", "--k2=-inf"],
     ["rmt-compare", "--eps_list", "0.01,nan"],
+    ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e-3,1.0000001e-3"],  # one file name
 ]
 
 

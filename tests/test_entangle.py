@@ -30,16 +30,16 @@ def random_state(spin, seed=0) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
-def linear_entropy_direct(state: np.ndarray, subsystem: int = 1) -> float:
-    """1 - Tr rho^2 without an eigendecomposition (Frobenius norm of the RDM)."""
-    rho = reduce(state, subsystem).entries
+def linear_entropy_direct(state: np.ndarray) -> float:
+    """1 - Tr rho_1^2 without an eigendecomposition (Frobenius norm of the RDM)."""
+    rho = reduce(state).entries
     return float(1.0 - (np.abs(rho) ** 2).sum())
 
 
 def subsystem_symmetry_check(state: np.ndarray) -> float:
     """|S_V(rho_1) - S_V(rho_2)|; zero for any exact Schmidt decomposition."""
-    sv1, _ = entropies(schmidt(reduce(state, 1)))
-    sv2, _ = entropies(schmidt(reduce(state, 2)))
+    sv1, _ = entropies(schmidt(reduce(state)))
+    sv2, _ = entropies(schmidt(reduce(state.T)))
     return abs(sv1 - sv2)
 
 
@@ -92,13 +92,13 @@ class TestReduce:
     @pytest.mark.parametrize("subsystem", [1, 2])
     def test_matches_brute_force(self, two_j, subsystem):
         state = random_state(SpinQuantum(two_j), seed=two_j)
-        rho = reduce(state, subsystem).entries
+        rho = reduce(state if subsystem == 1 else state.T).entries
         ref = brute_force_partial_trace(state, subsystem)
         np.testing.assert_allclose(rho, ref, atol=1e-13)
 
     def test_product_state_is_projector(self):
         state = initial_product_state(SpinQuantum(10), 0.89, 0.63, 2.0, -1.0)
-        rho = reduce(state, 1).entries
+        rho = reduce(state).entries
         np.testing.assert_allclose(rho @ rho, rho, atol=1e-12)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
 
@@ -106,14 +106,10 @@ class TestReduce:
     @given(st.sampled_from([2, 9, 30]), st.integers(0, 10**6))
     def test_trace_and_hermiticity(self, two_j, seed):
         state = random_state(SpinQuantum(two_j), seed)
-        for sub in (1, 2):
-            rho = reduce(state, sub).entries
+        for amplitudes in (state, state.T):
+            rho = reduce(amplitudes).entries
             assert abs(np.trace(rho).real - 1.0) < 1e-13
             assert np.abs(rho - rho.conj().T).max() < 1e-13
-
-    def test_invalid_subsystem(self):
-        with pytest.raises(ValueError):
-            reduce(random_state(SpinQuantum(2)), 3)
 
 
 class TestSchmidt:
@@ -140,7 +136,7 @@ class TestSchmidt:
 
     def test_reconstruction_and_residuals(self):
         state = random_state(SpinQuantum(40), 7)
-        rdm = reduce(state, 1)
+        rdm = reduce(state)
         spec = schmidt(rdm, vectors=True)
         v, lam = spec.eigenvectors, spec.eigenvalues
         assert np.abs(v @ np.diag(lam) @ v.conj().T - rdm.entries).max() < 1e-9
@@ -151,7 +147,7 @@ class TestSchmidt:
 
     def test_descending_sum_one_clip_audited(self):
         state = random_state(SpinQuantum(30), 8)
-        spec = schmidt(reduce(state, 2))
+        spec = schmidt(reduce(state.T))
         assert np.all(np.diff(spec.eigenvalues) <= 0.0)
         assert spec.eigenvalues.sum() == pytest.approx(1.0, abs=1e-10)
         assert spec.clip_magnitude < 1e-10
@@ -165,7 +161,7 @@ class TestSchmidt:
 
     def test_eigenvalues_only_match_eigh(self):
         for seed in range(8):
-            rdm = reduce(random_state(SpinQuantum(80), seed), 1)  # j = 40
+            rdm = reduce(random_state(SpinQuantum(80), seed))  # j = 40
             fast, full = schmidt(rdm), schmidt(rdm, vectors=True)
             assert fast.eigenvectors is None
             assert full.eigenvectors.shape == (81, 81)
@@ -186,7 +182,7 @@ class TestSchmidt:
         series = entropy_series(RunConfig(kind="evolve", j=4, steps=6))
         assert list(series["n"]) == [1, 2, 3, 4, 5, 6]
         assert checked == [(9, 9)] * 6
-        rho = reduce(random_state(SpinQuantum(4), 1), 1)
+        rho = reduce(random_state(SpinQuantum(4), 1))
         checked.clear()
         schmidt(rho.entries)
         m2_rdm(rho.entries)
@@ -212,7 +208,7 @@ class TestEntropies:
         n = 161
         sv_acc, purity_acc = [], []
         for seed in range(6):
-            spec = schmidt(reduce(random_state(SpinQuantum(n - 1), seed), 1))
+            spec = schmidt(reduce(random_state(SpinQuantum(n - 1), seed)))
             s_v, s_r = entropies(spec)
             sv_acc.append(s_v)
             purity_acc.append(1.0 - s_r)
@@ -222,7 +218,7 @@ class TestEntropies:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([2, 9, 30]), st.integers(0, 10**6))
     def test_sr_bounded_by_sv(self, two_j, seed):
-        spec = schmidt(reduce(random_state(SpinQuantum(two_j), seed), 1))
+        spec = schmidt(reduce(random_state(SpinQuantum(two_j), seed)))
         s_v, s_r = entropies(spec)
         n = two_j + 1
         assert 0.0 <= s_r <= 1.0 - 1.0 / n + 1e-12
@@ -231,8 +227,8 @@ class TestEntropies:
 
     def test_direct_linear_entropy_matches_spectrum(self):
         state = random_state(SpinQuantum(40), 9)
-        _, s_r = entropies(schmidt(reduce(state, 1)))
-        assert linear_entropy_direct(state, 1) == pytest.approx(s_r, abs=1e-12)
+        _, s_r = entropies(schmidt(reduce(state)))
+        assert linear_entropy_direct(state) == pytest.approx(s_r, abs=1e-12)
 
 
 class TestSubsystemSymmetry:
@@ -315,11 +311,13 @@ class TestRdmValidation:
             ReducedDensityMatrix(np.zeros(shape, dtype=complex))
 
     @pytest.mark.parametrize("kernel", ["schmidt", "m2_rdm", "husimi_field"])
-    @pytest.mark.parametrize("bad", ["trace3", "non_square"])
+    @pytest.mark.parametrize("bad", ["trace3", "non_square", "vector"])
     def test_raw_array_gets_full_checks(self, kernel, bad):
         # a raw array goes through the same checks as a ReducedDensityMatrix;
-        # trace 3 once gave S_R = -0.8 from schmidt with no error
-        arr = {"trace3": 3 * np.eye(5) / 5, "non_square": np.ones((5, 4)) / 5}[bad]
+        # trace 3 once gave S_R = -0.8 from schmidt with no error, and a unit
+        # vector once came back from husimi_field as the field of v v^dagger
+        arr = {"trace3": 3 * np.eye(5) / 5, "non_square": np.ones((5, 4)) / 5,
+               "vector": np.ones(5) / math.sqrt(5)}[bad]
         run = {
             "schmidt": schmidt,
             "m2_rdm": m2_rdm,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ktops.evolve
 from ktops.entangle import entropies, reduce, schmidt
 from ktops.evolve import (
     TopParams,
@@ -94,7 +95,7 @@ class TestInitialState:
 
     def test_product_state_has_zero_entropy(self):
         state = initial_product_state(SpinQuantum(40), 1.1, -0.4, 2.0, 2.5)
-        s_v, s_r = entropies(schmidt(reduce(state, 1)))
+        s_v, s_r = entropies(schmidt(reduce(state)))
         assert s_v < 1e-12 and s_r < 1e-12
 
 
@@ -130,6 +131,18 @@ class TestCoupledStep:
         np.testing.assert_array_equal(d_out, d)
         ref = coupling_phase_matrix(spin, 0.23) * kick1.reshape(-1, 1) * kick2
         np.testing.assert_allclose(phases, ref, rtol=0, atol=1e-15)
+
+    def test_builds_d_half_pi_once(self, monkeypatch):
+        # both tops share d(pi/2); only top 1's propagator builds it
+        calls = []
+
+        def counting(spin):
+            calls.append(spin)
+            return wigner_d_half_pi(spin)
+
+        monkeypatch.setattr(ktops.evolve, "wigner_d_half_pi", counting)
+        coupled_propagator(SpinQuantum(9), 1.3, 2.7, 0.23)
+        assert calls == [SpinQuantum(9)]
 
     def test_coupling_phase_value(self):
         # at j = 1 and eps = pi * j the (s1, s2) = (1, 1) phase is exp(-i pi)
@@ -235,7 +248,7 @@ class TestEvolve:
         spin = SpinQuantum(40)
         state = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
         final = final_state(state, *coupled_propagator(spin, 6.0, 6.0, 0.0), 300)
-        s_v, s_r = entropies(schmidt(reduce(final, 1)))
+        s_v, s_r = entropies(schmidt(reduce(final)))
         assert s_v < 1e-10 and s_r < 1e-10
 
     def test_uncoupled_run_stays_product_at_full_scale(self):
@@ -244,7 +257,7 @@ class TestEvolve:
         worst = 0.0
         for n, st in trajectory(state, *coupled_propagator(spin, 6.0, 6.0, 0.0), 1000):
             if n % 250 == 0:
-                worst = max(worst, *entropies(schmidt(reduce(st, 1))))
+                worst = max(worst, *entropies(schmidt(reduce(st))))
         assert worst < 1e-10
 
     def test_single_top_evolve_matches_matrix_power(self):

@@ -92,9 +92,7 @@ def husimi_field_nodes(op, grid: SphericalGrid, chunk: int = 4096) -> HusimiFiel
             t = block.conj() @ mat
             values[start:stop] = np.einsum("ni,ni->n", t, block).real
     clip = float(max(0.0, -values.min()))
-    return HusimiField(
-        grid=grid, values=np.maximum(values, 0.0).reshape(n_theta, n_phi), clip_magnitude=clip
-    )
+    return HusimiField(values=np.maximum(values, 0.0).reshape(n_theta, n_phi), clip_magnitude=clip)
 
 
 def m2_rdm_loop(entries: np.ndarray) -> complex:
@@ -115,10 +113,18 @@ def m2_rdm_loop(entries: np.ndarray) -> complex:
     return total
 
 
-def m2_quadrature(field: HusimiField) -> float:
-    """Grid estimate of the Husimi second moment on a SphericalGrid: the
+def haar_weights(grid: SphericalGrid) -> np.ndarray:
+    """Per-node weights N/(4 pi) sin(theta) dtheta dphi of the midpoint grid,
+    shape (n_theta, n_phi); they sum to N up to O(dtheta^2)."""
+    d_theta, d_phi = math.pi / len(grid.thetas), 2.0 * math.pi / len(grid.phis)
+    w_theta = grid.spin.dim / (4.0 * math.pi) * np.sin(grid.thetas) * d_theta * d_phi
+    return np.repeat(w_theta.reshape(-1, 1), len(grid.phis), axis=1)
+
+
+def m2_quadrature(field: HusimiField, grid: SphericalGrid) -> float:
+    """Grid estimate of the Husimi second moment of a field on the grid: the
     midpoint oracle for the analytic sums at small j."""
-    return float((field.grid.weights * field.values**2).sum())
+    return float((haar_weights(grid) * field.values**2).sum())
 
 
 def m2_gauss_legendre(rho: np.ndarray) -> float:
@@ -152,7 +158,7 @@ def evolved_rdm(spin: SpinQuantum, steps: int):
     state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
     for _, state in trajectory(state0, *coupled_propagator(spin, 6.0, 6.0, 1e-2), steps):
         pass
-    return reduce(state, 1)
+    return reduce(state)
 
 
 def evolved_vector(spin: SpinQuantum, steps: int) -> np.ndarray:
@@ -295,7 +301,7 @@ class TestM2Rdm:
 
     def test_accepts_wrapped_rdm(self):
         v = random_vector(81, 3).reshape(9, 9)
-        rdm = reduce(v / np.linalg.norm(v), 1)
+        rdm = reduce(v / np.linalg.norm(v))
         assert m2_rdm(rdm) == pytest.approx(m2_rdm(rdm.entries), abs=1e-16)
 
     def test_overflow_raises(self):
@@ -359,7 +365,7 @@ class TestQuadratureOracle:
         spin = SpinQuantum(10)  # j = 5
         grid = SphericalGrid.build(spin, 400, 800)
         v = coherent_amplitudes(spin, 0.89, 0.63)
-        q = m2_quadrature(husimi_field(v, grid))
+        q = m2_quadrature(husimi_field(np.outer(v, v.conj()), grid), grid)
         assert q == pytest.approx(11.0 / 21.0, abs=1e-4)
 
     @pytest.mark.parametrize("two_j", [4, 12, 20])
@@ -367,7 +373,7 @@ class TestQuadratureOracle:
         spin = SpinQuantum(two_j)
         grid = SphericalGrid.build(spin, 400, 800)
         v = random_vector(spin.dim, seed=two_j)
-        q = m2_quadrature(husimi_field(v, grid))
+        q = m2_quadrature(husimi_field(np.outer(v, v.conj()), grid), grid)
         assert q == pytest.approx(m2_pure(v), abs=1e-4)
 
     def test_matches_analytic_for_rdm(self):
@@ -376,22 +382,22 @@ class TestQuadratureOracle:
         a = random_vector(spin.dim**2, 5).reshape(spin.dim, spin.dim)
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        q = m2_quadrature(husimi_field(rho, grid))
+        q = m2_quadrature(husimi_field(rho, grid), grid)
         assert q == pytest.approx(m2_rdm(rho), abs=1e-4)
 
     def test_uniform_field(self):
         spin = SpinQuantum(12)
         grid = SphericalGrid.build(spin, 100, 200)
         n = spin.dim
-        field = HusimiField(grid=grid, values=np.full((100, 200), 1.0 / n), clip_magnitude=0.0)
-        assert m2_quadrature(field) == pytest.approx(1.0 / n, rel=1e-3)
+        field = HusimiField(values=np.full((100, 200), 1.0 / n), clip_magnitude=0.0)
+        assert m2_quadrature(field, grid) == pytest.approx(1.0 / n, rel=1e-3)
 
 
 class TestSphericalGrid:
     def test_weights_sum_to_dimension(self):
         spin = SpinQuantum(160)
         grid = SphericalGrid.build(spin, 200, 400)
-        assert grid.weights.sum() == pytest.approx(spin.dim, rel=1e-4)
+        assert haar_weights(grid).sum() == pytest.approx(spin.dim, rel=1e-4)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -408,7 +414,7 @@ def husimi_operands(spin: SpinQuantum, seed: int) -> dict:
     return {
         "vector": random_vector(n, seed),
         "raw": rho,
-        "wrapped": reduce(a / np.linalg.norm(a), 1),
+        "wrapped": reduce(a / np.linalg.norm(a)),
     }
 
 
@@ -419,7 +425,8 @@ class TestHusimiField:
         spin = SpinQuantum(two_j)
         grid = SphericalGrid.build(spin, *shape)
         for kind, op in husimi_operands(spin, two_j).items():
-            got, want = husimi_field(op, grid), husimi_field_nodes(op, grid)
+            rdm = np.outer(op, op.conj()) if kind == "vector" else op
+            got, want = husimi_field(rdm, grid), husimi_field_nodes(op, grid)
             assert got.values.shape == shape, kind
             assert np.abs(got.values - want.values).max() <= 1e-13, kind
             assert got.clip_magnitude <= 1e-13, kind
@@ -439,7 +446,7 @@ class TestHusimiField:
         spin = SpinQuantum(40)
         grid = SphericalGrid.build(spin, 100, 200)
         v = coherent_amplitudes(spin, 0.89, 0.63)
-        field = husimi_field(v, grid)
+        field = husimi_field(np.outer(v, v.conj()), grid)
         it, ip = np.unravel_index(np.argmax(field.values), field.values.shape)
         assert abs(grid.thetas[it] - 0.89) < 0.05
         assert abs(grid.phis[ip] - 0.63) < 0.05
@@ -451,7 +458,7 @@ class TestHusimiField:
         spin = SpinQuantum(20)
         grid = SphericalGrid.build(spin, 60, 120)
         v = random_vector(spin.dim, 9)
-        field = husimi_field(v, grid)
+        field = husimi_field(np.outer(v, v.conj()), grid)
         assert field.values.max() <= 1.0 + 1e-12
 
     def test_trace_identity_on_default_grid(self):
@@ -461,7 +468,7 @@ class TestHusimiField:
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
         field = husimi_field(rho, grid)
-        assert (grid.weights * field.values).sum() == pytest.approx(1.0, abs=0.02)
+        assert (haar_weights(grid) * field.values).sum() == pytest.approx(1.0, abs=0.02)
 
     def test_trace_identity_refines_at_second_order(self):
         spin = SpinQuantum(10)
@@ -469,8 +476,8 @@ class TestHusimiField:
         errs = []
         for n_theta in (25, 50, 100):
             grid = SphericalGrid.build(spin, n_theta, 2 * n_theta)
-            field = husimi_field(v, grid)
-            errs.append(abs((grid.weights * field.values).sum() - 1.0))
+            field = husimi_field(np.outer(v, v.conj()), grid)
+            errs.append(abs((haar_weights(grid) * field.values).sum() - 1.0))
         # midpoint rule: observed order approaches 2 from below (1.986 here)
         order = math.log(errs[0] / errs[2]) / math.log(4.0)
         assert order > 1.9
