@@ -12,7 +12,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -32,9 +32,6 @@ from .evolve import (
 from .husimi import SphericalGrid, delta_n_eff, gamma_factor, husimi_field, m2_pure, m2_rdm
 from .rmt import sr_analytic
 from .spincore import SpinQuantum, coherent_amplitudes
-
-KINDS = ("evolve", "portrait", "husimi", "deltaneff", "rmt-compare", "stats")
-
 
 class ConfigError(Exception):
     pass
@@ -74,7 +71,7 @@ class RunConfig:
     pool: str = "all"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SUBCOMMANDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.j < 0:
             raise ConfigError(f"j must be nonnegative, got {self.j}")
@@ -101,8 +98,9 @@ class RunConfig:
         for name in names:
             if names.count(name) > 1:
                 raise ConfigError(f"eps_list {self.eps_list} writes {name} more than once")
-        if self.snapshots is not None and min(self.snapshots) < 0:
-            raise ConfigError(f"snapshots must be nonnegative, got {self.snapshots}")
+        snaps = self.snapshot_steps()
+        if min(snaps) < 0 or max(snaps) > self.steps:
+            raise ConfigError(f"snapshots must lie in [0, steps = {self.steps}], got {snaps}")
         if self.stats_mode not in ("state", "rdm"):
             raise ConfigError(f"stats_mode must be 'state' or 'rdm', got {self.stats_mode!r}")
         if self.pool not in ("all", "top"):
@@ -184,12 +182,25 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _keys_read(kind: str, settings: dict) -> tuple:
+    """The keys of kind's row of SUBCOMMANDS that a run with these settings
+    reads: eps is unread beside an eps_list, and pool unless stats_mode is rdm."""
+    if kind not in SUBCOMMANDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    keys = SUBCOMMANDS[kind][1]
+    unread = {"eps"} if "eps_list" in keys and settings.get("eps_list") is not None else set()
+    if settings.get("stats_mode") != "rdm":
+        unread.add("pool")
+    return tuple(key for key in keys if key not in unread)
+
+
 def config_from_mapping(kind: str, mapping: dict) -> RunConfig:
     mapping = dict(mapping)
     mapping.pop("kind", None)
-    unknown = set(mapping) - set(_CONVERTERS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    keys = _keys_read(kind, mapping)
+    unread = set(mapping) - set(keys)
+    if unread:
+        raise ConfigError(f"{kind} does not read {sorted(unread)}; it reads {list(keys)}")
     return RunConfig(kind=kind, **mapping)
 
 
@@ -202,13 +213,11 @@ def _config_value_str(val) -> str:
 
 
 def config_lines(cfg: RunConfig) -> list:
-    lines = []
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        lines.append(f"{f.name} = {_config_value_str(val)}")
-    return lines
+    """`key = value` of the kind and of each set key the run reads."""
+    settings = vars(cfg)
+    return [f"{key} = {_config_value_str(settings[key])}"
+            for key in ("kind",) + _keys_read(cfg.kind, settings)
+            if settings[key] is not None]
 
 
 def config_from_manifest_text(text: str) -> RunConfig:
@@ -446,20 +455,27 @@ def _run_stats(cfg: RunConfig, outdir: Path) -> dict:
     return files
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "portrait": _run_portrait,
-    "husimi": _run_husimi,
-    "deltaneff": _run_deltaneff,
-    "rmt-compare": _run_rmt_compare,
-    "stats": _run_stats,
+# the keys of a coupled run: two kicks, the coupling, the initial product
+_COUPLED = ("j", "k", "k1", "k2", "eps", "steps", "theta0", "phi0", "theta0_2", "phi0_2")
+
+# subcommand -> (runner, the config keys it reads); the parser offers only
+# these keys as flags, config_from_mapping rejects any other, and the
+# manifest echoes these alone
+SUBCOMMANDS = {
+    "evolve": (_run_evolve, _COUPLED + ("stride", "out")),
+    "portrait": (_run_portrait, ("k", "out", "portrait_grid", "portrait_iters")),
+    "husimi": (_run_husimi, _COUPLED + ("n_theta", "n_phi", "snapshots", "out")),
+    "deltaneff": (_run_deltaneff, ("j", "k", "steps", "theta0", "phi0", "stride", "out")),
+    "rmt-compare": (_run_rmt_compare,
+                    ("j", "k", "k1", "k2", "eps", "eps_list", "steps", "out", "ic_grid")),
+    "stats": (_run_stats, _COUPLED + ("snapshots", "out", "stats_mode", "pool")),
 }
 
 
 def run(cfg: RunConfig) -> RunManifest:
     outdir = Path(cfg.out)
     start = time.perf_counter()
-    files = _RUNNERS[cfg.kind](cfg, outdir)
+    files = SUBCOMMANDS[cfg.kind][0](cfg, outdir)
     manifest = RunManifest(
         config=cfg, duration_seconds=time.perf_counter() - start, files=files
     )
@@ -476,12 +492,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ktops", description="coupled kicked top experiments"
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
+    for kind, (_, keys) in SUBCOMMANDS.items():
         p = sub.add_parser(kind)
         p.add_argument("--config")
-        for key in _CONVERTERS:
-            if key != "kind":  # the subcommand
-                p.add_argument(f"--{key}")
+        for key in keys:
+            p.add_argument(f"--{key}")
     return parser
 
 

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from ktops.cli import (
+    SUBCOMMANDS,
     ConfigError,
     RunConfig,
+    _keys_read,
     _write_table,
     config_from_manifest_text,
     config_from_mapping,
@@ -18,6 +21,9 @@ from ktops.cli import (
     parse_config_text,
     run,
 )
+from test_golden import CASES as GOLDEN_CASES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_table(path):
@@ -31,7 +37,7 @@ def read_table(path):
 def test_import_leaves_scipy_linalg_unloaded():
     # importing scipy.linalg adds 0.10-0.13 s to every CLI start-up, and
     # scipy.special (Si/Ci, needed only by the closed-form S_R law) 0.25 s
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
@@ -86,18 +92,44 @@ class TestConfigParsing:
             config_from_mapping("evolve", {"zzz": 1})
 
 
+# the keys of a coupled run, each at a small non-default value
+COUPLED = dict(j=4, k=2.5, k1=2.0, k2=3.0, eps=1e-3, steps=3, theta0=0.5, phi0=0.1,
+               theta0_2=1.0, phi0_2=-0.2)
+
+# (subcommand, a non-default value of each key it reads but out, the key of
+# its row left unset); rmt-compare reads eps or eps_list, never both
+ROUND_TRIPS = [
+    ("evolve", dict(COUPLED, stride=2), None),
+    ("portrait", dict(k=2.5, portrait_grid=2, portrait_iters=3), None),
+    ("husimi", dict(COUPLED, snapshots=(1, 3), n_theta=3, n_phi=4), None),
+    ("deltaneff", dict(j=4, k=2.5, steps=3, theta0=0.5, phi0=0.1, stride=2), None),
+    ("rmt-compare", dict(j=4, k=2.5, k1=2.0, k2=3.0, eps=1e-3, steps=3, ic_grid=1),
+     "eps_list"),
+    ("rmt-compare", dict(j=4, k=2.5, k1=2.0, k2=3.0, eps_list=(1e-3, 1e-2), steps=3,
+                         ic_grid=1), "eps"),
+    ("stats", dict(COUPLED, snapshots=(2,), stats_mode="rdm", pool="top"), None),
+]
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        cfg = RunConfig(
-            kind="evolve", j=6, k=2.5, eps=1e-3, steps=5, out=str(tmp_path / "o"),
-            snapshots=(0, 3), eps_list=(1e-3, 1e-2),
-        )
-        manifest = run(cfg)
-        text = (tmp_path / "o" / "evolve_manifest.txt").read_text()
-        cfg2 = config_from_manifest_text(text)
-        assert cfg2 == cfg
-        assert config_lines(cfg2) == config_lines(cfg)
-        assert manifest.files["evolve_entropy.tsv"] == 5
+        # the manifest echoes kind and exactly the keys the run reads, and
+        # rebuilds the config
+        for i, (kind, values, unset) in enumerate(ROUND_TRIPS):
+            default = RunConfig(kind=kind)
+            assert all(val != getattr(default, key) for key, val in values.items())
+            cfg = RunConfig(kind=kind, out=str(tmp_path / str(i)), **values)
+            run(cfg)
+            text = (tmp_path / str(i) / f"{kind.replace('-', '_')}_manifest.txt").read_text()
+            keys = [line.split(" = ")[0] for line in text.splitlines()[1:]
+                    if not line.startswith(("artifact_version", "duration_seconds",
+                                            "output_rows."))]
+            read = [key for key in SUBCOMMANDS[kind][1] if key != unset]
+            assert keys == ["kind", *read]
+            assert set(read) == set(values) | {"out"}
+            cfg2 = config_from_manifest_text(text)
+            assert cfg2 == cfg
+            assert config_lines(cfg2) == config_lines(cfg)
 
     def test_manifest_counts_rows(self, tmp_path):
         cfg = RunConfig(kind="deltaneff", j=4, k=6.0, steps=7, out=str(tmp_path))
@@ -231,43 +263,137 @@ class TestExitCodes:
         assert (cfg.ic_grid, cfg.eps_list) == (1, (0.001, 0.01))
 
 
+# small values of keys each subcommand reads, given before a case's flags
+BASE_FLAGS = {
+    "evolve": ["--j", "4", "--steps", "3"],
+    "portrait": ["--portrait_grid", "2", "--portrait_iters", "3"],
+    "husimi": ["--j", "4", "--steps", "3", "--n_theta", "3", "--n_phi", "4"],
+    "deltaneff": ["--j", "4", "--steps", "3"],
+    "rmt-compare": ["--j", "4", "--steps", "3", "--ic_grid", "1"],
+    "stats": ["--j", "4", "--steps", "3"],
+}
+
+# (subcommand and flags, the start of its error message after "config error: ")
 REJECTED_INPUTS = [
-    ["stats", "--snapshots=-3"],
-    ["husimi", "--snapshots=-3"],
-    ["husimi", "--snapshots", "0,-1"],
-    ["stats", "--snapshots", ","],
-    ["rmt-compare", "--eps_list", ","],
-    ["rmt-compare", "--ic_grid", "0"],
-    ["portrait", "--portrait_grid", "0"],
-    ["portrait", "--portrait_grid=-2"],
-    ["portrait", "--portrait_iters", "0"],
-    ["husimi", "--n_theta", "0"],
-    ["husimi", "--n_phi", "0"],
-    ["evolve", "--steps", "0"],
-    ["evolve", "--stride", "0"],
-    ["evolve", "--j=-1"],
-    ["evolve", "--theta0", "4"],
-    ["evolve", "--theta0=-0.1"],
-    ["evolve", "--theta0_2", "3.2"],
-    ["evolve", "--theta0", "nan"],
-    ["evolve", "--phi0", "inf"],
-    ["evolve", "--phi0_2", "nan"],
-    ["evolve", "--eps", "nan"],
-    ["evolve", "--k", "inf"],
-    ["evolve", "--k1", "nan"],
-    ["evolve", "--k2=-inf"],
-    ["rmt-compare", "--eps_list", "0.01,nan"],
-    ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e-3,1.0000001e-3"],  # one file name
+    (["stats", "--snapshots=-3"], "snapshots must lie in [0, steps = 3]"),
+    (["husimi", "--snapshots=-3"], "snapshots must lie in [0, steps = 3]"),
+    (["husimi", "--snapshots", "0,-1"], "snapshots must lie in [0, steps = 3]"),
+    (["husimi", "--steps", "3", "--snapshots", "10"], "snapshots must lie in [0, steps = 3]"),
+    (["stats", "--snapshots", "0,4"], "snapshots must lie in [0, steps = 3]"),
+    (["stats", "--snapshots", ","], "snapshots must not be empty"),
+    (["rmt-compare", "--eps_list", ","], "eps_list must not be empty"),
+    (["rmt-compare", "--ic_grid", "0"], "ic_grid must be at least 1"),
+    (["portrait", "--portrait_grid", "0"], "portrait_grid must be at least 1"),
+    (["portrait", "--portrait_grid=-2"], "portrait_grid must be at least 1"),
+    (["portrait", "--portrait_iters", "0"], "portrait_iters must be at least 1"),
+    (["husimi", "--n_theta", "0"], "n_theta must be at least 1"),
+    (["husimi", "--n_phi", "0"], "n_phi must be at least 1"),
+    (["evolve", "--steps", "0"], "steps must be at least 1"),
+    (["evolve", "--stride", "0"], "stride must be at least 1"),
+    (["evolve", "--j=-1"], "j must be nonnegative"),
+    (["evolve", "--theta0", "4"], "theta0 must lie in [0, pi]"),
+    (["evolve", "--theta0=-0.1"], "theta0 must lie in [0, pi]"),
+    (["evolve", "--theta0_2", "3.2"], "theta0_2 must lie in [0, pi]"),
+    (["evolve", "--theta0", "nan"], "theta0 must be finite"),
+    (["evolve", "--phi0", "inf"], "phi0 must be finite"),
+    (["evolve", "--phi0_2", "nan"], "phi0_2 must be finite"),
+    (["evolve", "--eps", "nan"], "eps must be finite"),
+    (["evolve", "--k", "inf"], "k must be finite"),
+    (["evolve", "--k1", "nan"], "k1 must be finite"),
+    (["evolve", "--k2=-inf"], "k2 must be finite"),
+    (["rmt-compare", "--eps_list", "0.01,nan"], "eps_list[1] must be finite"),
+    (["rmt-compare", "--ic_grid", "1", "--eps_list", "1e-3,1.0000001e-3"],  # one file name
+     "eps_list (0.001, 0.0010000001) writes rmt_compare_eps0.001.tsv more than once"),
+    # a key the run would not read: eps beside eps_list, pool without rdm
+    (["rmt-compare", "--eps", "0.5", "--eps_list", "1e-3"], "rmt-compare does not read ['eps']"),
+    (["stats", "--pool", "top"], "stats does not read ['pool']"),
+    (["stats", "--stats_mode", "state", "--pool", "all"], "stats does not read ['pool']"),
 ]
 
 
-@pytest.mark.parametrize("argv", REJECTED_INPUTS, ids=" ".join)
-def test_rejected_input_is_config_error(tmp_path, capsys, argv):
-    # small defaults first; argparse keeps the last value, so the case's wins
+@pytest.mark.parametrize("argv, reason", [pytest.param(*case, id=" ".join(case[0]))
+                                          for case in REJECTED_INPUTS])
+def test_rejected_input_is_config_error(tmp_path, capsys, argv, reason):
+    # argparse keeps the last value, so the case's flags win over the base
     kind, *flags = argv
-    assert main([kind, "--j", "4", "--steps", "3", *flags, "--out", str(tmp_path)]) == 1
-    assert "config error" in capsys.readouterr().err
-    assert list(tmp_path.glob("*.tsv")) == []
+    assert main([kind, *BASE_FLAGS[kind], *flags, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {reason}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unread_key_is_rejected(tmp_path, capsys):
+    # a key the subcommand does not read is no flag of it, and a config file
+    # or manifest that sets it is a config error: exit 1, and nothing written
+    out = tmp_path / "out"
+    assert main(["evolve", "--j", "4", "--steps", "2", "--eps_list", "0.5",
+                 "--out", str(out)]) == 1
+    assert "unrecognized arguments: --eps_list 0.5" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("j = 4\nsteps = 2\neps_list = 0.5\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: evolve does not read ['eps_list']")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=r"evolve does not read \['eps_list'\]"):
+        config_from_manifest_text("kind = evolve\neps_list = 0.5\n")
+
+
+def test_each_subcommand_offers_only_the_keys_it_reads(capsys):
+    for kind, (_, keys) in SUBCOMMANDS.items():
+        for key in set(RunConfig.__dataclass_fields__) - {"kind", *keys}:
+            assert main([kind, f"--{key}", "1"]) == 1
+            assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
+
+
+class RecordingConfig(RunConfig):
+    """A RunConfig that notes the name of each field read into `reads`."""
+
+    reads = set()
+
+    def __getattribute__(self, name):
+        if name in RunConfig.__dataclass_fields__:
+            RecordingConfig.reads.add(name)
+        return super().__getattribute__(name)
+
+
+def test_subcommand_table_names_the_keys_each_run_reads(tmp_path, monkeypatch):
+    # the union of the fields each runner reads over the golden cases, and
+    # over runs without snapshots and without eps_list, is its row of the table
+    echo = config_lines
+
+    def unrecorded_echo(cfg):  # the manifest echoes keys; it does not use them
+        before = set(RecordingConfig.reads)
+        lines = echo(cfg)
+        RecordingConfig.reads.intersection_update(before)
+        return lines
+
+    monkeypatch.setattr("ktops.cli.config_lines", unrecorded_echo)
+    cases = [(kind, parse_config_text("".join(f"{k} = {v}\n" for k, v in keys.items())))
+             for kind, keys in GOLDEN_CASES.values()]
+    cases += [("husimi", dict(j=10, steps=20, n_theta=10, n_phi=20)),
+              ("stats", dict(j=10, steps=20)),
+              ("rmt-compare", dict(j=10, steps=20, ic_grid=2))]
+    reads = {kind: set() for kind in SUBCOMMANDS}
+    for i, (kind, mapping) in enumerate(cases):
+        cfg = RecordingConfig(kind=kind, out=str(tmp_path / str(i)), **mapping)
+        RecordingConfig.reads.clear()
+        run(cfg)
+        reads[kind] |= RecordingConfig.reads - {"kind"}
+    assert reads == {kind: set(keys) for kind, (_, keys) in SUBCOMMANDS.items()}
+
+
+def test_scripts_set_only_keys_their_subcommand_reads():
+    # the scripts build RunConfig directly, past config_from_mapping's check
+    scripts = set()
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RunConfig":
+                values = {kw.arg: kw.value for kw in node.keywords}
+                kind = ast.literal_eval(values.pop("kind"))
+                settings = {key: val.value if isinstance(val, ast.Constant) else val
+                            for key, val in values.items()}
+                assert set(values) <= set(_keys_read(kind, settings)), (path.name, kind)
+                scripts.add(path.name)
+    assert scripts == {path.name for path in (ROOT / "scripts").glob("*.py")}
 
 
 class TestRunEvolve:
