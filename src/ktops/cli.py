@@ -105,6 +105,9 @@ class RunConfig:
             raise ConfigError(f"stats_mode must be 'state' or 'rdm', got {self.stats_mode!r}")
         if self.pool not in ("all", "top"):
             raise ConfigError(f"pool must be 'all' or 'top', got {self.pool!r}")
+        # the manifest echoes out as a `key = value` line, which # or a line break would cut
+        if "#" in self.out or self.out.splitlines() not in ([], [self.out]):
+            raise ConfigError(f"out must not contain '#' or a line break, got {self.out!r}")
 
     @property
     def spin(self) -> SpinQuantum:
@@ -184,19 +187,26 @@ def parse_config_text(text: str) -> dict:
 
 def _keys_read(kind: str, settings: dict) -> tuple:
     """The keys of kind's row of SUBCOMMANDS that a run with these settings
-    reads: eps is unread beside an eps_list, and pool unless stats_mode is rdm."""
+    reads: eps is unread beside an eps_list, k beside a k1, and pool unless
+    stats_mode is rdm; without rdm, stats evolves the first top alone."""
     if kind not in SUBCOMMANDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     keys = SUBCOMMANDS[kind][1]
     unread = {"eps"} if "eps_list" in keys and settings.get("eps_list") is not None else set()
     if settings.get("stats_mode") != "rdm":
         unread.add("pool")
+        if kind == "stats":
+            unread.update(("k1", "k2", "eps", "theta0_2", "phi0_2"))
+    if "k1" in keys and "k1" not in unread and settings.get("k1") is not None:
+        unread.add("k")
     return tuple(key for key in keys if key not in unread)
 
 
 def config_from_mapping(kind: str, mapping: dict) -> RunConfig:
     mapping = dict(mapping)
-    mapping.pop("kind", None)
+    named = mapping.pop("kind", kind)
+    if named != kind:
+        raise ConfigError(f"kind = {named} names another subcommand than {kind}")
     keys = _keys_read(kind, mapping)
     unread = set(mapping) - set(keys)
     if unread:
@@ -255,10 +265,10 @@ def _write_text(path: Path, text: str):
 
 def _write_table(path: Path, header: str, *columns) -> int:
     """Write the header line, then one tab-separated line per row of the
-    columns, and return the row count.  A column is a 1-d array, or a 2-d
-    array that contributes each of its columns.  Integer columns are written
-    as %d and float columns as %.12e, the same text as str(n) and
-    f"{x:.12e}"; the whole table is formatted by one % on its values."""
+    columns, and return the row count.  A column is 1-d, or 2-d (a list of
+    row tuples, say) and contributes each of its columns.  Integer columns
+    are written as %d and float columns as %.12e, the same text as str(n)
+    and f"{x:.12e}"; the whole table is formatted by one % on its values."""
     blocks = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     line = "\t".join("%d" if b.dtype.kind in "iu" else "%.12e"
                      for b in blocks for _ in range(b.shape[1]))
@@ -269,7 +279,8 @@ def _write_table(path: Path, header: str, *columns) -> int:
 
 
 # ---------------------------------------------------------------------------
-# experiment engines
+# experiments: each yields (file name, header, columns) for each of its
+# tables, and run() writes them
 
 
 def _coupled_trajectory(cfg: RunConfig, n_steps: int):
@@ -284,105 +295,28 @@ def _single_trajectory(cfg: RunConfig, n_steps: int):
     return single_top_evolve(v0, *build_single_propagator(TopParams(cfg.spin, cfg.k)), n_steps)
 
 
-def entropy_series(cfg: RunConfig) -> dict:
+def _snapshots(cfg: RunConfig, trajectory_of):
+    """(n, state) of trajectory_of's run at each snapshot step."""
+    snaps = cfg.snapshot_steps()
+    return ((n, st) for n, st in trajectory_of(cfg, max(snaps)) if n in snaps)
+
+
+def _evolve(cfg: RunConfig):
     """Coupled run: per recorded step S_V, S_R, occupancy and gamma of rho_1."""
     n_dim = cfg.spin.dim
-    rec = {"n": [], "s_v": [], "s_r": [], "delta_n_eff": [], "gamma": []}
+    steps, rows = [], []
     for n, st in _coupled_trajectory(cfg, cfg.steps):
-        if not cfg.records(n):
-            continue
-        rho = reduce(st)
-        s_v, s_r = entropies(schmidt(rho))
-        dn = delta_n_eff(m2_rdm(rho), n_dim)
-        rec["n"].append(n)
-        rec["s_v"].append(s_v)
-        rec["s_r"].append(s_r)
-        rec["delta_n_eff"].append(dn)
-        rec["gamma"].append(gamma_factor(s_v, dn, n_dim))
-    return {key: np.asarray(val) for key, val in rec.items()}
+        if cfg.records(n):
+            rho = reduce(st)
+            s_v, s_r = entropies(schmidt(rho))
+            dn = delta_n_eff(m2_rdm(rho), n_dim)
+            steps.append(n)
+            rows.append((s_v, s_r, dn, gamma_factor(s_v, dn, n_dim)))
+    yield "evolve_entropy.tsv", "# n\tS_V\tS_R\tdelta_n_eff\tgamma", (steps, rows)
 
 
-def single_top_series(cfg: RunConfig) -> dict:
-    """Single-top run: per recorded step the pure-state M2 and occupancy."""
-    rec = {"n": [], "m2": [], "delta_n_eff": []}
-    for n, v in _single_trajectory(cfg, cfg.steps):
-        if not cfg.records(n):
-            continue
-        m2 = m2_pure(v)
-        rec["n"].append(n)
-        rec["m2"].append(m2)
-        rec["delta_n_eff"].append(delta_n_eff(m2, cfg.spin.dim))
-    return {key: np.asarray(val) for key, val in rec.items()}
-
-
-def rmt_compare_series(cfg: RunConfig, eps: float) -> dict:
-    """Measured S_R averaged over a lattice of initial coherent products,
-    next to both analytic evaluation routes."""
-    spin = cfg.spin
-    d, phases = coupled_propagator(spin, *cfg.kick_pair(), eps)
-    g = cfg.ic_grid
-    thetas = (np.arange(g) + 0.5) * math.pi / g
-    phis = -math.pi + (np.arange(g) + 0.5) * 2.0 * math.pi / g
-    acc = np.zeros(cfg.steps)
-
-    for th in thetas:
-        for ph in phis:
-            state0 = initial_product_state(spin, th, ph, th, ph)
-            for n, a in trajectory(state0, d, phases, cfg.steps):
-                if n == 0:
-                    continue
-                rho = a @ a.conj().T
-                acc[n - 1] += 1.0 - float((np.abs(rho) ** 2).sum())
-    acc /= g * g
-    n_arr = np.arange(1, cfg.steps + 1)
-    return {
-        "n": n_arr,
-        "sr_measured": acc,
-        "sr_exact_sum": sr_analytic(n_arr, spin, eps, "exact-sum"),
-        "sr_closed_form": sr_analytic(n_arr, spin, eps, "closed-form"),
-    }
-
-
-def stats_components(cfg: RunConfig) -> np.ndarray:
-    """Pooled complex components for the statistics experiment.
-
-    Mode 'state': the time-evolved single-top state at each snapshot step.
-    Mode 'rdm': eigenvectors of the subsystem-1 RDM of the coupled run at
-    each snapshot ('all' pools every eigenvector, 'top' the upper half of
-    the spectrum).
-    """
-    snaps = set(cfg.snapshot_steps())
-    pool = []
-    if cfg.stats_mode == "state":
-        for n, v in _single_trajectory(cfg, max(snaps)):
-            if n in snaps:
-                pool.append(v.copy())
-    else:
-        for n, st in _coupled_trajectory(cfg, max(snaps)):
-            if n not in snaps:
-                continue
-            spec = schmidt(reduce(st), vectors=True)
-            cols = spec.eigenvectors.shape[1]
-            take = cols if cfg.pool == "all" else max(1, cols // 2)
-            for col in range(take):
-                pool.append(spec.eigenvectors[:, col].copy())
-    return np.concatenate(pool)
-
-
-# ---------------------------------------------------------------------------
-# subcommand runners
-
-
-def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
-    series = entropy_series(cfg)
-    count = _write_table(outdir / "evolve_entropy.tsv",
-                         "# n\tS_V\tS_R\tdelta_n_eff\tgamma",
-                         series["n"], series["s_v"], series["s_r"],
-                         series["delta_n_eff"], series["gamma"])
-    return {"evolve_entropy.tsv": count}
-
-
-def _run_portrait(cfg: RunConfig, outdir: Path) -> dict:
+def _portrait(cfg: RunConfig):
+    """Classical orbits from a cos(theta) x phi lattice of starting points."""
     g = cfg.portrait_grid
     cos_thetas = -1.0 + (np.arange(g) + 0.5) * 2.0 / g
     phis = -math.pi + (np.arange(g) + 0.5) * 2.0 * math.pi / g
@@ -391,91 +325,106 @@ def _run_portrait(cfg: RunConfig, outdir: Path) -> dict:
     ics = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=-1).reshape(-1, 3)
     orbits = phase_portrait(cfg.k, ics, cfg.portrait_iters)
     # orbit points are (cos_theta, phi); the file puts phi first
-    count = _write_table(outdir / "portrait_points.tsv", "# phi\tcos_theta",
-                         orbits.reshape(-1, 2)[:, ::-1])
-    return {"portrait_points.tsv": count}
+    yield "portrait_points.tsv", "# phi\tcos_theta", (orbits.reshape(-1, 2)[:, ::-1],)
 
 
-def _run_husimi(cfg: RunConfig, outdir: Path) -> dict:
+def _husimi(cfg: RunConfig):
+    """The Husimi field of rho_1 at each snapshot step.  Each field is
+    yielded, so written, before the next is computed: one sets peak RSS."""
     grid = SphericalGrid.build(cfg.spin, cfg.n_theta, cfg.n_phi)
-    snaps = set(cfg.snapshot_steps())
-    files = {}
-    for n, st in _coupled_trajectory(cfg, max(snaps)):
-        if n not in snaps:
-            continue
-        name = f"husimi_n{n:05d}.tsv"
+    for n, st in _snapshots(cfg, _coupled_trajectory):
         header = (
             f"# husimi j={cfg.j} step={n} n_theta={cfg.n_theta} "
             f"n_phi={cfg.n_phi} rows=theta cols=phi"
         )
-        # no name holds the field, so it is freed once written instead of
-        # being held while the next one is computed: one field sets peak RSS
-        files[name] = _write_table(outdir / name, header,
-                                   husimi_field(reduce(st), grid).values)
-    return files
+        yield f"husimi_n{n:05d}.tsv", header, (husimi_field(reduce(st), grid).values,)
 
 
-def _run_deltaneff(cfg: RunConfig, outdir: Path) -> dict:
-    series = single_top_series(cfg)
-    count = _write_table(outdir / "deltaneff_single.tsv", "# n\tm2_pure\tdelta_n_eff",
-                         series["n"], series["m2"], series["delta_n_eff"])
-    return {"deltaneff_single.tsv": count}
+def _deltaneff(cfg: RunConfig):
+    """Single-top run: per recorded step the pure-state M2 and occupancy."""
+    steps, rows = [], []
+    for n, v in _single_trajectory(cfg, cfg.steps):
+        if cfg.records(n):
+            m2 = m2_pure(v)
+            steps.append(n)
+            rows.append((m2, delta_n_eff(m2, cfg.spin.dim)))
+    yield "deltaneff_single.tsv", "# n\tm2_pure\tdelta_n_eff", (steps, rows)
 
 
-def _run_rmt_compare(cfg: RunConfig, outdir: Path) -> dict:
-    # every eps is computed before the first file is written, so a numeric
-    # range error at a later eps leaves no partial output
-    computed = [(eps, rmt_compare_series(cfg, eps)) for eps in cfg.epsilons()]
-    files = {}
-    for eps, series in computed:
-        name = _rmt_compare_file(eps)
-        files[name] = _write_table(
-            outdir / name, "# n\tsr_measured\tsr_exact_sum\tsr_closed_form",
-            series["n"], series["sr_measured"],
-            series["sr_exact_sum"], series["sr_closed_form"],
-        )
-    return files
+def _rmt_compare(cfg: RunConfig):
+    """Per eps, the measured S_R averaged over a lattice of initial coherent
+    products, next to both analytic evaluation routes.  Every eps is computed
+    before the first table is yielded, so a numeric range error at a later
+    eps leaves no partial output."""
+    spin, g = cfg.spin, cfg.ic_grid
+    thetas = (np.arange(g) + 0.5) * math.pi / g
+    phis = -math.pi + (np.arange(g) + 0.5) * 2.0 * math.pi / g
+    n_arr = np.arange(1, cfg.steps + 1)
+    tables = []
+    for eps in cfg.epsilons():
+        d, phases = coupled_propagator(spin, *cfg.kick_pair(), eps)
+        acc = np.zeros(cfg.steps)
+        for th in thetas:
+            for ph in phis:
+                state0 = initial_product_state(spin, th, ph, th, ph)
+                for n, a in trajectory(state0, d, phases, cfg.steps):
+                    if n > 0:
+                        rho = a @ a.conj().T
+                        acc[n - 1] += 1.0 - float((np.abs(rho) ** 2).sum())
+        acc /= g * g
+        tables.append((_rmt_compare_file(eps), "# n\tsr_measured\tsr_exact_sum\tsr_closed_form",
+                       (n_arr, acc, sr_analytic(n_arr, spin, eps, "exact-sum"),
+                        sr_analytic(n_arr, spin, eps, "closed-form"))))
+    yield from tables
 
 
-def _run_stats(cfg: RunConfig, outdir: Path) -> dict:
-    comps = stats_components(cfg)
-    n_dim = cfg.spin.dim
-    scaled = n_dim * np.abs(comps) ** 2
-    files = {}
-    files["stats_components.tsv"] = _write_table(
-        outdir / "stats_components.tsv", "# re\tim\tn_abs2", comps.real, comps.imag, scaled
-    )
-    moments = [comps.real.mean(), comps.real.var(), comps.imag.mean(), comps.imag.var(),
-               ks_exponential(scaled)]
-    files["stats_summary.tsv"] = _write_table(
-        outdir / "stats_summary.tsv",
-        "# mean_re\tvar_re\tmean_im\tvar_im\tks_exponential\tn_samples",
-        np.array([moments]), np.array([len(comps)]),
-    )
-    return files
+def _stats(cfg: RunConfig):
+    """Pooled complex components and their moments.  Mode 'state': the
+    single-top state at each snapshot step.  Mode 'rdm': the eigenvectors of
+    the coupled run's rho_1 at each snapshot ('all' pools every eigenvector,
+    'top' the upper half of the spectrum)."""
+    if cfg.stats_mode == "state":
+        pool = [v for _, v in _snapshots(cfg, _single_trajectory)]
+    else:
+        pool = []
+        for _, st in _snapshots(cfg, _coupled_trajectory):
+            vecs = schmidt(reduce(st), vectors=True).eigenvectors
+            take = vecs.shape[1] if cfg.pool == "all" else max(1, vecs.shape[1] // 2)
+            pool.append(vecs[:, :take].T.ravel())
+    comps = np.concatenate(pool)
+    scaled = cfg.spin.dim * np.abs(comps) ** 2
+    yield "stats_components.tsv", "# re\tim\tn_abs2", (comps.real, comps.imag, scaled)
+    moments = (comps.real.mean(), comps.real.var(), comps.imag.mean(), comps.imag.var(),
+               ks_exponential(scaled))
+    yield ("stats_summary.tsv", "# mean_re\tvar_re\tmean_im\tvar_im\tks_exponential\tn_samples",
+           ([moments], [len(comps)]))
 
 
 # the keys of a coupled run: two kicks, the coupling, the initial product
 _COUPLED = ("j", "k", "k1", "k2", "eps", "steps", "theta0", "phi0", "theta0_2", "phi0_2")
 
-# subcommand -> (runner, the config keys it reads); the parser offers only
-# these keys as flags, config_from_mapping rejects any other, and the
+# subcommand -> (experiment, the config keys it reads); the parser offers
+# only these keys as flags, config_from_mapping rejects any other, and the
 # manifest echoes these alone
 SUBCOMMANDS = {
-    "evolve": (_run_evolve, _COUPLED + ("stride", "out")),
-    "portrait": (_run_portrait, ("k", "out", "portrait_grid", "portrait_iters")),
-    "husimi": (_run_husimi, _COUPLED + ("n_theta", "n_phi", "snapshots", "out")),
-    "deltaneff": (_run_deltaneff, ("j", "k", "steps", "theta0", "phi0", "stride", "out")),
-    "rmt-compare": (_run_rmt_compare,
+    "evolve": (_evolve, _COUPLED + ("stride", "out")),
+    "portrait": (_portrait, ("k", "out", "portrait_grid", "portrait_iters")),
+    "husimi": (_husimi, _COUPLED + ("n_theta", "n_phi", "snapshots", "out")),
+    "deltaneff": (_deltaneff, ("j", "k", "steps", "theta0", "phi0", "stride", "out")),
+    "rmt-compare": (_rmt_compare,
                     ("j", "k", "k1", "k2", "eps", "eps_list", "steps", "out", "ic_grid")),
-    "stats": (_run_stats, _COUPLED + ("snapshots", "out", "stats_mode", "pool")),
+    "stats": (_stats, _COUPLED + ("snapshots", "out", "stats_mode", "pool")),
 }
 
 
 def run(cfg: RunConfig) -> RunManifest:
+    """Write each table the subcommand's experiment yields, then the manifest."""
     outdir = Path(cfg.out)
     start = time.perf_counter()
-    files = SUBCOMMANDS[cfg.kind][0](cfg, outdir)
+    files = {}
+    for name, header, columns in SUBCOMMANDS[cfg.kind][0](cfg):
+        files[name] = _write_table(outdir / name, header, *columns)
+        del columns  # so a husimi field is freed before the next is computed
     manifest = RunManifest(
         config=cfg, duration_seconds=time.perf_counter() - start, files=files
     )
@@ -508,8 +457,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         mapping.update(parse_config_text(text))
-    for key, raw in vars(args).items():
-        if key in _CONVERTERS and raw is not None:
+    for key in SUBCOMMANDS[args.kind][1]:
+        raw = getattr(args, key)
+        if raw is not None:
             mapping[key] = _convert(key, raw)
     return config_from_mapping(args.kind, mapping)
 

@@ -28,7 +28,7 @@ from ktops.evolve import (
 from ktops.husimi import SphericalGrid, delta_n_eff, gamma_factor, husimi_field, m2_pure, m2_rdm
 from ktops.rmt import predictions, sr_weak_rate
 from ktops.spincore import SpinQuantum, coherent_amplitudes, wigner_d_half_pi
-from ktops.cli import RunConfig, rmt_compare_series, single_top_series
+from ktops.cli import RunConfig, run
 
 from test_classical import correct_map, wrong_coupled_map
 from test_husimi import m2_quadrature
@@ -118,10 +118,10 @@ def test_criterion_03_weak_coupling_suppression():
     )
 
 
-def test_criterion_04_single_top_occupancy():
-    cfg = RunConfig(kind="deltaneff", j=80, k=6.0, steps=1000)
-    series = single_top_series(cfg)
-    mean_dn = float(series["delta_n_eff"][199:].mean())
+def test_criterion_04_single_top_occupancy(tmp_path):
+    run(RunConfig(kind="deltaneff", j=80, k=6.0, steps=1000, out=str(tmp_path)))
+    delta_n_eff = np.loadtxt(tmp_path / "deltaneff_single.tsv")[:, 2]
+    mean_dn = float(delta_n_eff[199:].mean())
     identity = predictions(161).delta_n_eff_pure
     ok = 0.42 <= mean_dn <= 0.58 and identity == (161 + 1) / (2 * 161)
     _report(
@@ -153,14 +153,16 @@ def test_criterion_06_gamma_factor_windows():
     _report("06 gamma factor", ok, detail + " (windows [0.48,0.58] / [0.36,0.47])")
 
 
-def test_criterion_07_analytic_linear_entropy():
+def test_criterion_07_analytic_linear_entropy(tmp_path):
+    eps_list = (1e-4, 1e-3, 1e-2)
+    run(RunConfig(kind="rmt-compare", j=80, eps_list=eps_list, steps=100, out=str(tmp_path)))
     devs = {}
-    for eps in (1e-4, 1e-3, 1e-2):
-        cfg = RunConfig(kind="rmt-compare", j=80, eps=eps, steps=100)
-        series = rmt_compare_series(cfg, eps)
-        devs[eps] = float(np.abs(series["sr_measured"] - series["sr_closed_form"]).max())
+    for eps in eps_list:
+        table = np.loadtxt(tmp_path / f"rmt_compare_eps{eps:g}.tsv")
+        n, sr_measured, sr_closed_form = table[:, 0], table[:, 1], table[:, 3]
+        devs[eps] = float(np.abs(sr_measured - sr_closed_form).max())
         if eps == 1e-4:
-            slope = float(np.polyfit(series["n"], series["sr_measured"], 1)[0])
+            slope = float(np.polyfit(n, sr_measured, 1)[0])
     rate = sr_weak_rate(SpinQuantum(160), 1e-4)
     slope_ok = abs(slope / rate - 1.0) < 0.25
     print(

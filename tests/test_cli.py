@@ -21,6 +21,7 @@ from ktops.cli import (
     parse_config_text,
     run,
 )
+from ktops.husimi import husimi_field
 from test_golden import CASES as GOLDEN_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,22 +93,26 @@ class TestConfigParsing:
             config_from_mapping("evolve", {"zzz": 1})
 
 
-# the keys of a coupled run, each at a small non-default value
-COUPLED = dict(j=4, k=2.5, k1=2.0, k2=3.0, eps=1e-3, steps=3, theta0=0.5, phi0=0.1,
-               theta0_2=1.0, phi0_2=-0.2)
+# the keys of a coupled run but k and k1, each at a small non-default value
+COUPLED = dict(j=4, k2=3.0, eps=1e-3, steps=3, theta0=0.5, phi0=0.1, theta0_2=1.0,
+               phi0_2=-0.2)
+FIRST_TOP = dict(j=4, k=2.5, steps=3, theta0=0.5, phi0=0.1)
 
-# (subcommand, a non-default value of each key it reads but out, the key of
-# its row left unset); rmt-compare reads eps or eps_list, never both
+# (subcommand, a value of each key it reads but out, the keys of its row left
+# unset); k is unread beside k1, eps beside eps_list, and a state-mode stats
+# run reads the first top's keys alone
 ROUND_TRIPS = [
-    ("evolve", dict(COUPLED, stride=2), None),
-    ("portrait", dict(k=2.5, portrait_grid=2, portrait_iters=3), None),
-    ("husimi", dict(COUPLED, snapshots=(1, 3), n_theta=3, n_phi=4), None),
-    ("deltaneff", dict(j=4, k=2.5, steps=3, theta0=0.5, phi0=0.1, stride=2), None),
-    ("rmt-compare", dict(j=4, k=2.5, k1=2.0, k2=3.0, eps=1e-3, steps=3, ic_grid=1),
-     "eps_list"),
-    ("rmt-compare", dict(j=4, k=2.5, k1=2.0, k2=3.0, eps_list=(1e-3, 1e-2), steps=3,
-                         ic_grid=1), "eps"),
-    ("stats", dict(COUPLED, snapshots=(2,), stats_mode="rdm", pool="top"), None),
+    ("evolve", dict(COUPLED, k1=2.0, stride=2), ("k",)),
+    ("portrait", dict(k=2.5, portrait_grid=2, portrait_iters=3), ()),
+    ("husimi", dict(COUPLED, k=2.5, snapshots=(1, 3), n_theta=3, n_phi=4), ("k1",)),
+    ("deltaneff", dict(FIRST_TOP, stride=2), ()),
+    ("rmt-compare", dict(j=4, k1=2.0, k2=3.0, eps=1e-3, steps=3, ic_grid=1),
+     ("k", "eps_list")),
+    ("rmt-compare", dict(j=4, k=2.5, k2=3.0, eps_list=(1e-3, 1e-2), steps=3, ic_grid=1),
+     ("k1", "eps")),
+    ("stats", dict(COUPLED, k1=2.0, snapshots=(2,), stats_mode="rdm", pool="top"), ("k",)),
+    ("stats", dict(FIRST_TOP, snapshots=(2,), stats_mode="state"),
+     ("k1", "k2", "eps", "theta0_2", "phi0_2", "pool")),
 ]
 
 
@@ -117,14 +122,15 @@ class TestManifest:
         # rebuilds the config
         for i, (kind, values, unset) in enumerate(ROUND_TRIPS):
             default = RunConfig(kind=kind)
-            assert all(val != getattr(default, key) for key, val in values.items())
+            assert all(val != getattr(default, key) for key, val in values.items()
+                       if (key, val) != ("stats_mode", "state"))
             cfg = RunConfig(kind=kind, out=str(tmp_path / str(i)), **values)
             run(cfg)
             text = (tmp_path / str(i) / f"{kind.replace('-', '_')}_manifest.txt").read_text()
             keys = [line.split(" = ")[0] for line in text.splitlines()[1:]
                     if not line.startswith(("artifact_version", "duration_seconds",
                                             "output_rows."))]
-            read = [key for key in SUBCOMMANDS[kind][1] if key != unset]
+            read = [key for key in SUBCOMMANDS[kind][1] if key not in unset]
             assert keys == ["kind", *read]
             assert set(read) == set(values) | {"out"}
             cfg2 = config_from_manifest_text(text)
@@ -308,6 +314,9 @@ REJECTED_INPUTS = [
     (["rmt-compare", "--eps", "0.5", "--eps_list", "1e-3"], "rmt-compare does not read ['eps']"),
     (["stats", "--pool", "top"], "stats does not read ['pool']"),
     (["stats", "--stats_mode", "state", "--pool", "all"], "stats does not read ['pool']"),
+    # a state-mode stats run evolves the first top alone, and k1 replaces k
+    (["stats", "--eps", "0.5", "--k1", "2"], "stats does not read ['eps', 'k1']"),
+    (["evolve", "--k", "3", "--k1", "2", "--k2", "2"], "evolve does not read ['k']"),
 ]
 
 
@@ -337,6 +346,26 @@ def test_unread_key_is_rejected(tmp_path, capsys):
         config_from_manifest_text("kind = evolve\neps_list = 0.5\n")
 
 
+def test_kind_line_naming_another_subcommand_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("kind = portrait\nj = 4\nsteps = 2\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: kind = portrait names another subcommand than evolve")
+    assert not out.exists()
+    cfg.write_text("kind = evolve\nj = 4\nsteps = 2\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("out", ["o#1", "o\nsteps = 9", "o\r", "o\n"])
+def test_out_that_would_cut_its_manifest_line_is_rejected(out):
+    # the manifest line `out = o#1` would read back as out = "o", and a line
+    # break would end the line or add one
+    with pytest.raises(ConfigError, match="out must not contain '#' or a line break"):
+        RunConfig(kind="deltaneff", j=4, steps=2, out=out)
+
+
 def test_each_subcommand_offers_only_the_keys_it_reads(capsys):
     for kind, (_, keys) in SUBCOMMANDS.items():
         for key in set(RunConfig.__dataclass_fields__) - {"kind", *keys}:
@@ -356,7 +385,7 @@ class RecordingConfig(RunConfig):
 
 
 def test_subcommand_table_names_the_keys_each_run_reads(tmp_path, monkeypatch):
-    # the union of the fields each runner reads over the golden cases, and
+    # the union of the fields each experiment reads over the golden cases, and
     # over runs without snapshots and without eps_list, is its row of the table
     echo = config_lines
 
@@ -456,6 +485,24 @@ class TestRunHusimi:
             grid = np.array([[float(t) for t in line.split("\t")] for line in lines[1:]])
             assert grid.shape == (30, 60)
             assert np.isfinite(grid).all() and grid.min() >= 0.0
+
+    def test_each_field_is_written_before_the_next_is_computed(self, tmp_path, monkeypatch):
+        # run() writes each table as the experiment yields it, so one field
+        # at a time is held
+        calls = []
+
+        def recorded(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr("ktops.cli.husimi_field", recorded("field", husimi_field))
+        monkeypatch.setattr("ktops.cli._write_table", recorded("write", _write_table))
+        cfg = RunConfig(kind="husimi", j=4, steps=3, snapshots=(0, 2, 3), n_theta=3,
+                        n_phi=4, out=str(tmp_path))
+        assert sorted(run(cfg).files) == [f"husimi_n0000{n}.tsv" for n in (0, 2, 3)]
+        assert calls == ["field", "write"] * 3
 
     def test_initial_snapshot_is_localized_blob(self, tmp_path):
         cfg = RunConfig(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktops.cli import RunConfig, entropy_series
+from ktops.cli import RunConfig, run
 from ktops.entangle import (
     ReducedDensityMatrix,
     entropies,
@@ -168,7 +168,7 @@ class TestSchmidt:
             np.testing.assert_allclose(fast.eigenvalues, full.eigenvalues, rtol=0, atol=1e-13)
             assert abs(fast.clip_magnitude - full.clip_magnitude) < 1e-13
 
-    def test_rdm_checked_once_per_step(self, monkeypatch):
+    def test_rdm_checked_once_per_step(self, monkeypatch, tmp_path):
         # the RDM is checked when reduce() builds it; schmidt and m2_rdm trust
         # a ReducedDensityMatrix and wrap (so check) only a raw array
         checked = []
@@ -179,8 +179,9 @@ class TestSchmidt:
             real_check(self)
 
         monkeypatch.setattr(ReducedDensityMatrix, "__post_init__", counting_check)
-        series = entropy_series(RunConfig(kind="evolve", j=4, steps=6))
-        assert list(series["n"]) == [1, 2, 3, 4, 5, 6]
+        run(RunConfig(kind="evolve", j=4, steps=6, out=str(tmp_path)))
+        steps = np.loadtxt(tmp_path / "evolve_entropy.tsv")[:, 0]
+        assert list(steps) == [1, 2, 3, 4, 5, 6]
         assert checked == [(9, 9)] * 6
         rho = reduce(random_state(SpinQuantum(4), 1))
         checked.clear()
