@@ -1,6 +1,6 @@
-"""Experiment driver: key = value configs, six experiment families as
-subcommands, deterministic delimiter-separated output files, and run
-manifests that echo the resolved parameters.
+"""Experiment driver: key = value configs, one subcommand per experiment,
+deterministic delimiter-separated output files, and run manifests that echo
+the resolved parameters as a config file.
 
 Exit status: 0 success, 1 configuration or numeric range error, 2 I/O error.
 """
@@ -53,7 +53,7 @@ class RunConfig:
     k1: Optional[float] = None
     k2: Optional[float] = None
     eps: float = 1e-2
-    eps_list: Optional[tuple[float, ...]] = None
+    eps_list: tuple[float, ...] = (1e-2,)
     steps: int = 1000
     theta0: float = 0.89
     phi0: float = 0.63
@@ -67,8 +67,6 @@ class RunConfig:
     portrait_grid: int = 20
     portrait_iters: int = 500
     ic_grid: int = 4
-    stats_mode: str = "state"
-    pool: str = "all"
 
     def __post_init__(self):
         if self.kind not in SUBCOMMANDS:
@@ -82,7 +80,7 @@ class RunConfig:
         reals = {"k": self.k, "k1": self.k1, "k2": self.k2, "eps": self.eps,
                  "theta0": self.theta0, "phi0": self.phi0,
                  "theta0_2": self.theta0_2, "phi0_2": self.phi0_2}
-        reals.update((f"eps_list[{i}]", e) for i, e in enumerate(self.eps_list or ()))
+        reals.update((f"eps_list[{i}]", e) for i, e in enumerate(self.eps_list))
         for key, val in reals.items():
             if val is not None and not math.isfinite(val):
                 raise ConfigError(f"{key} must be finite, got {val}")
@@ -94,20 +92,18 @@ class RunConfig:
             val = getattr(self, key)
             if val is not None and len(val) == 0:
                 raise ConfigError(f"{key} must not be empty")
-        names = [_rmt_compare_file(eps) for eps in self.eps_list or ()]
+        names = [_rmt_compare_file(eps) for eps in self.eps_list]
         for name in names:
             if names.count(name) > 1:
                 raise ConfigError(f"eps_list {self.eps_list} writes {name} more than once")
         snaps = self.snapshot_steps()
         if min(snaps) < 0 or max(snaps) > self.steps:
             raise ConfigError(f"snapshots must lie in [0, steps = {self.steps}], got {snaps}")
-        if self.stats_mode not in ("state", "rdm"):
-            raise ConfigError(f"stats_mode must be 'state' or 'rdm', got {self.stats_mode!r}")
-        if self.pool not in ("all", "top"):
-            raise ConfigError(f"pool must be 'all' or 'top', got {self.pool!r}")
-        # the manifest echoes out as a `key = value` line, which # or a line break would cut
-        if "#" in self.out or self.out.splitlines() not in ([], [self.out]):
-            raise ConfigError(f"out must not contain '#' or a line break, got {self.out!r}")
+        # the manifest echoes out as a `key = value` line, which # or a line
+        # break would cut, and whose value is read back stripped
+        if "#" in self.out or len(self.out.splitlines()) > 1 or self.out != self.out.strip():
+            raise ConfigError("out must not contain '#' or a line break, nor begin or end "
+                              f"with whitespace, got {self.out!r}")
 
     @property
     def spin(self) -> SpinQuantum:
@@ -132,7 +128,7 @@ class RunConfig:
         return self.snapshots if self.snapshots is not None else (0, self.steps)
 
     def epsilons(self) -> tuple:
-        return self.eps_list if self.eps_list is not None else (self.eps,)
+        return self.eps_list
 
     def records(self, n: int) -> bool:
         """Whether step n is a row of a per-step series: every stride-th
@@ -162,23 +158,16 @@ def _convert(key: str, raw: str):
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
-def _key_values(text: str):
-    """(line number, key, raw value) of each `key = value` line; # starts a
-    comment; blank lines are skipped."""
+def parse_config_text(text: str) -> dict:
+    """One `key = value` per line; # starts a comment; blank lines ignored."""
+    out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = body.partition("=")
-        yield lineno, key.strip(), raw.strip()
-
-
-def parse_config_text(text: str) -> dict:
-    """One `key = value` per line; # starts a comment; blank lines ignored."""
-    out = {}
-    for lineno, key, raw in _key_values(text):
+        key, _, raw = (part.strip() for part in body.partition("="))
         if key not in _CONVERTERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         out[key] = _convert(key, raw)
@@ -187,19 +176,13 @@ def parse_config_text(text: str) -> dict:
 
 def _keys_read(kind: str, settings: dict) -> tuple:
     """The keys of kind's row of SUBCOMMANDS that a run with these settings
-    reads: eps is unread beside an eps_list, k beside a k1, and pool unless
-    stats_mode is rdm; without rdm, stats evolves the first top alone."""
+    reads: all of them, but k once k1 is set."""
     if kind not in SUBCOMMANDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     keys = SUBCOMMANDS[kind][1]
-    unread = {"eps"} if "eps_list" in keys and settings.get("eps_list") is not None else set()
-    if settings.get("stats_mode") != "rdm":
-        unread.add("pool")
-        if kind == "stats":
-            unread.update(("k1", "k2", "eps", "theta0_2", "phi0_2"))
-    if "k1" in keys and "k1" not in unread and settings.get("k1") is not None:
-        unread.add("k")
-    return tuple(key for key in keys if key not in unread)
+    if "k1" in keys and settings.get("k1") is not None:
+        return tuple(key for key in keys if key != "k")
+    return keys
 
 
 def config_from_mapping(kind: str, mapping: dict) -> RunConfig:
@@ -230,18 +213,6 @@ def config_lines(cfg: RunConfig) -> list:
             if settings[key] is not None]
 
 
-def config_from_manifest_text(text: str) -> RunConfig:
-    """Rebuild the RunConfig echoed in a manifest, ignoring bookkeeping keys."""
-    params = {
-        key: _convert(key, raw)
-        for _, key, raw in _key_values(text)
-        if key in _CONVERTERS
-    }
-    if "kind" not in params:
-        raise ConfigError("manifest carries no kind")
-    return config_from_mapping(params["kind"], params)
-
-
 @dataclass
 class RunManifest:
     config: RunConfig
@@ -249,12 +220,14 @@ class RunManifest:
     files: dict  # file name -> data row count
 
     def to_text(self) -> str:
+        """A config file of the run: its config lines, and the bookkeeping
+        as comments."""
         lines = ["# run manifest"]
         lines.extend(config_lines(self.config))
-        lines.append(f"artifact_version = {__version__}")
-        lines.append(f"duration_seconds = {self.duration_seconds:.3f}")
+        lines.append(f"# artifact_version = {__version__}")
+        lines.append(f"# duration_seconds = {self.duration_seconds:.3f}")
         for name in sorted(self.files):
-            lines.append(f"output_rows.{name} = {self.files[name]}")
+            lines.append(f"# output_rows.{name} = {self.files[name]}")
         return "\n".join(lines) + "\n"
 
 
@@ -378,19 +351,8 @@ def _rmt_compare(cfg: RunConfig):
     yield from tables
 
 
-def _stats(cfg: RunConfig):
-    """Pooled complex components and their moments.  Mode 'state': the
-    single-top state at each snapshot step.  Mode 'rdm': the eigenvectors of
-    the coupled run's rho_1 at each snapshot ('all' pools every eigenvector,
-    'top' the upper half of the spectrum)."""
-    if cfg.stats_mode == "state":
-        pool = [v for _, v in _snapshots(cfg, _single_trajectory)]
-    else:
-        pool = []
-        for _, st in _snapshots(cfg, _coupled_trajectory):
-            vecs = schmidt(reduce(st), vectors=True).eigenvectors
-            take = vecs.shape[1] if cfg.pool == "all" else max(1, vecs.shape[1] // 2)
-            pool.append(vecs[:, :take].T.ravel())
+def _component_tables(cfg: RunConfig, pool: list):
+    """The pooled complex components, and their moments."""
     comps = np.concatenate(pool)
     scaled = cfg.spin.dim * np.abs(comps) ** 2
     yield "stats_components.tsv", "# re\tim\tn_abs2", (comps.real, comps.imag, scaled)
@@ -398,6 +360,18 @@ def _stats(cfg: RunConfig):
                ks_exponential(scaled))
     yield ("stats_summary.tsv", "# mean_re\tvar_re\tmean_im\tvar_im\tks_exponential\tn_samples",
            ([moments], [len(comps)]))
+
+
+def _stats(cfg: RunConfig):
+    """Components of the single-top state at each snapshot step."""
+    yield from _component_tables(cfg, [v for _, v in _snapshots(cfg, _single_trajectory)])
+
+
+def _stats_rdm(cfg: RunConfig):
+    """Components of every eigenvector of the coupled run's rho_1 at each
+    snapshot step."""
+    yield from _component_tables(cfg, [schmidt(reduce(st), vectors=True).eigenvectors.T.ravel()
+                                       for _, st in _snapshots(cfg, _coupled_trajectory)])
 
 
 # the keys of a coupled run: two kicks, the coupling, the initial product
@@ -411,9 +385,9 @@ SUBCOMMANDS = {
     "portrait": (_portrait, ("k", "out", "portrait_grid", "portrait_iters")),
     "husimi": (_husimi, _COUPLED + ("n_theta", "n_phi", "snapshots", "out")),
     "deltaneff": (_deltaneff, ("j", "k", "steps", "theta0", "phi0", "stride", "out")),
-    "rmt-compare": (_rmt_compare,
-                    ("j", "k", "k1", "k2", "eps", "eps_list", "steps", "out", "ic_grid")),
-    "stats": (_stats, _COUPLED + ("snapshots", "out", "stats_mode", "pool")),
+    "rmt-compare": (_rmt_compare, ("j", "k", "k1", "k2", "eps_list", "steps", "out", "ic_grid")),
+    "stats": (_stats, ("j", "k", "steps", "theta0", "phi0", "snapshots", "out")),
+    "stats-rdm": (_stats_rdm, _COUPLED + ("snapshots", "out")),
 }
 
 
@@ -442,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind, (_, keys) in SUBCOMMANDS.items():
-        p = sub.add_parser(kind)
+        p = sub.add_parser(kind, allow_abbrev=False)
         p.add_argument("--config")
         for key in keys:
             p.add_argument(f"--{key}")

@@ -18,6 +18,8 @@ class ReducedDensityMatrix:
     def __post_init__(self):
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError(f"RDM must be square, got shape {self.entries.shape}")
+        if self.entries.size == 0:
+            raise ValueError("RDM must not be empty, got shape (0, 0)")
         if np.abs(self.entries - self.entries.conj().T).max() > _HERMITICITY_TOL:
             raise ValueError("RDM not Hermitian within tolerance")
         tr = np.trace(self.entries).real
@@ -66,7 +68,7 @@ def schmidt(
     else:
         w, v = np.linalg.eigvalsh(entries), None
     w = w[::-1]
-    clip = float(max(0.0, -w.min())) if w.size else 0.0
+    clip = float(max(0.0, -w.min()))
     return SchmidtSpectrum(eigenvalues=np.maximum(w, 0.0), eigenvectors=v, clip_magnitude=clip)
 
 

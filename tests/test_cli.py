@@ -14,7 +14,6 @@ from ktops.cli import (
     RunConfig,
     _keys_read,
     _write_table,
-    config_from_manifest_text,
     config_from_mapping,
     config_lines,
     main,
@@ -99,41 +98,35 @@ COUPLED = dict(j=4, k2=3.0, eps=1e-3, steps=3, theta0=0.5, phi0=0.1, theta0_2=1.
 FIRST_TOP = dict(j=4, k=2.5, steps=3, theta0=0.5, phi0=0.1)
 
 # (subcommand, a value of each key it reads but out, the keys of its row left
-# unset); k is unread beside k1, eps beside eps_list, and a state-mode stats
-# run reads the first top's keys alone
+# unset); k is unread beside k1
 ROUND_TRIPS = [
     ("evolve", dict(COUPLED, k1=2.0, stride=2), ("k",)),
     ("portrait", dict(k=2.5, portrait_grid=2, portrait_iters=3), ()),
     ("husimi", dict(COUPLED, k=2.5, snapshots=(1, 3), n_theta=3, n_phi=4), ("k1",)),
     ("deltaneff", dict(FIRST_TOP, stride=2), ()),
-    ("rmt-compare", dict(j=4, k1=2.0, k2=3.0, eps=1e-3, steps=3, ic_grid=1),
-     ("k", "eps_list")),
+    ("rmt-compare", dict(j=4, k1=2.0, k2=3.0, eps_list=(1e-3,), steps=3, ic_grid=1), ("k",)),
     ("rmt-compare", dict(j=4, k=2.5, k2=3.0, eps_list=(1e-3, 1e-2), steps=3, ic_grid=1),
-     ("k1", "eps")),
-    ("stats", dict(COUPLED, k1=2.0, snapshots=(2,), stats_mode="rdm", pool="top"), ("k",)),
-    ("stats", dict(FIRST_TOP, snapshots=(2,), stats_mode="state"),
-     ("k1", "k2", "eps", "theta0_2", "phi0_2", "pool")),
+     ("k1",)),
+    ("stats", dict(FIRST_TOP, snapshots=(2,)), ()),
+    ("stats-rdm", dict(COUPLED, k1=2.0, snapshots=(2,)), ("k",)),
 ]
 
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        # the manifest echoes kind and exactly the keys the run reads, and
-        # rebuilds the config
+        # the manifest is a config file of kind and exactly the keys the run
+        # reads, and rebuilds the config
         for i, (kind, values, unset) in enumerate(ROUND_TRIPS):
             default = RunConfig(kind=kind)
-            assert all(val != getattr(default, key) for key, val in values.items()
-                       if (key, val) != ("stats_mode", "state"))
+            assert all(val != getattr(default, key) for key, val in values.items())
             cfg = RunConfig(kind=kind, out=str(tmp_path / str(i)), **values)
             run(cfg)
             text = (tmp_path / str(i) / f"{kind.replace('-', '_')}_manifest.txt").read_text()
-            keys = [line.split(" = ")[0] for line in text.splitlines()[1:]
-                    if not line.startswith(("artifact_version", "duration_seconds",
-                                            "output_rows."))]
+            keys = [line.split(" = ")[0] for line in text.splitlines() if not line.startswith("#")]
             read = [key for key in SUBCOMMANDS[kind][1] if key not in unset]
             assert keys == ["kind", *read]
             assert set(read) == set(values) | {"out"}
-            cfg2 = config_from_manifest_text(text)
+            cfg2 = config_from_mapping(kind, parse_config_text(text))
             assert cfg2 == cfg
             assert config_lines(cfg2) == config_lines(cfg)
 
@@ -265,7 +258,7 @@ class TestExitCodes:
         main(["rmt-compare", "--j", "4", "--steps", "3", "--ic_grid", "1",
               "--eps_list", "0.001,0.01", "--out", str(tmp_path)])
         text = (tmp_path / "rmt_compare_manifest.txt").read_text()
-        cfg = config_from_manifest_text(text)
+        cfg = config_from_mapping("rmt-compare", parse_config_text(text))
         assert (cfg.ic_grid, cfg.eps_list) == (1, (0.001, 0.01))
 
 
@@ -277,6 +270,7 @@ BASE_FLAGS = {
     "deltaneff": ["--j", "4", "--steps", "3"],
     "rmt-compare": ["--j", "4", "--steps", "3", "--ic_grid", "1"],
     "stats": ["--j", "4", "--steps", "3"],
+    "stats-rdm": ["--j", "4", "--steps", "3"],
 }
 
 # (subcommand and flags, the start of its error message after "config error: ")
@@ -310,13 +304,10 @@ REJECTED_INPUTS = [
     (["rmt-compare", "--eps_list", "0.01,nan"], "eps_list[1] must be finite"),
     (["rmt-compare", "--ic_grid", "1", "--eps_list", "1e-3,1.0000001e-3"],  # one file name
      "eps_list (0.001, 0.0010000001) writes rmt_compare_eps0.001.tsv more than once"),
-    # a key the run would not read: eps beside eps_list, pool without rdm
-    (["rmt-compare", "--eps", "0.5", "--eps_list", "1e-3"], "rmt-compare does not read ['eps']"),
-    (["stats", "--pool", "top"], "stats does not read ['pool']"),
-    (["stats", "--stats_mode", "state", "--pool", "all"], "stats does not read ['pool']"),
-    # a state-mode stats run evolves the first top alone, and k1 replaces k
-    (["stats", "--eps", "0.5", "--k1", "2"], "stats does not read ['eps', 'k1']"),
+    (["stats-rdm", "--snapshots", "0,4"], "snapshots must lie in [0, steps = 3]"),
+    # k1 replaces k, so the run would not read k
     (["evolve", "--k", "3", "--k1", "2", "--k2", "2"], "evolve does not read ['k']"),
+    (["stats-rdm", "--k", "3", "--k1", "2"], "stats-rdm does not read ['k']"),
 ]
 
 
@@ -343,7 +334,29 @@ def test_unread_key_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: evolve does not read ['eps_list']")
     assert not out.exists()
     with pytest.raises(ConfigError, match=r"evolve does not read \['eps_list'\]"):
-        config_from_manifest_text("kind = evolve\neps_list = 0.5\n")
+        config_from_mapping("evolve", parse_config_text("kind = evolve\neps_list = 0.5\n"))
+
+
+# (subcommand, config file lines, the start of its error message after
+# "config error: "); rmt-compare reads eps_list alone, stats evolves the first
+# top alone, and stats_mode and pool are no keys
+REJECTED_CONFIGS = [
+    ("rmt-compare", ["eps = 0.5", "eps_list = 1e-3"], "rmt-compare does not read ['eps']"),
+    ("stats", ["eps = 0.5", "k1 = 2"], "stats does not read ['eps', 'k1']"),
+    ("stats", ["pool = top"], "line 1: unknown key 'pool'"),
+    ("stats", ["stats_mode = state", "pool = all"], "line 1: unknown key 'stats_mode'"),
+]
+
+
+@pytest.mark.parametrize("kind, lines, reason", [
+    pytest.param(*case, id=f"{case[0]} {'; '.join(case[1])}") for case in REJECTED_CONFIGS])
+def test_rejected_config_file_is_config_error(tmp_path, capsys, kind, lines, reason):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in lines))
+    out = tmp_path / "out"
+    assert main([kind, *BASE_FLAGS[kind], "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {reason}")
+    assert not out.exists()
 
 
 def test_kind_line_naming_another_subcommand_is_rejected(tmp_path, capsys):
@@ -358,17 +371,20 @@ def test_kind_line_naming_another_subcommand_is_rejected(tmp_path, capsys):
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("out", ["o#1", "o\nsteps = 9", "o\r", "o\n"])
+@pytest.mark.parametrize("out", ["o#1", "o\nsteps = 9", "o\r", "o\n", " o", "o ", "o\t"])
 def test_out_that_would_cut_its_manifest_line_is_rejected(out):
-    # the manifest line `out = o#1` would read back as out = "o", and a line
-    # break would end the line or add one
+    # the manifest line `out = o#1` would read back as out = "o", a line
+    # break would end the line or add one, and outer whitespace is stripped
     with pytest.raises(ConfigError, match="out must not contain '#' or a line break"):
         RunConfig(kind="deltaneff", j=4, steps=2, out=out)
 
 
 def test_each_subcommand_offers_only_the_keys_it_reads(capsys):
+    # and no prefix of a flag, which argparse would take for the flag:
+    # rmt-compare --eps would mean --eps_list
     for kind, (_, keys) in SUBCOMMANDS.items():
-        for key in set(RunConfig.__dataclass_fields__) - {"kind", *keys}:
+        prefixes = {flag[:-1] for flag in ("config", *keys) if len(flag) > 2}
+        for key in set(RunConfig.__dataclass_fields__) - {"kind", *keys} | prefixes:
             assert main([kind, f"--{key}", "1"]) == 1
             assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
 
@@ -400,6 +416,7 @@ def test_subcommand_table_names_the_keys_each_run_reads(tmp_path, monkeypatch):
              for kind, keys in GOLDEN_CASES.values()]
     cases += [("husimi", dict(j=10, steps=20, n_theta=10, n_phi=20)),
               ("stats", dict(j=10, steps=20)),
+              ("stats-rdm", dict(j=10, steps=20)),
               ("rmt-compare", dict(j=10, steps=20, ic_grid=2))]
     reads = {kind: set() for kind in SUBCOMMANDS}
     for i, (kind, mapping) in enumerate(cases):
@@ -521,7 +538,7 @@ class TestRunHusimi:
 class TestRunRmtCompare:
     def test_columns(self, tmp_path):
         cfg = RunConfig(
-            kind="rmt-compare", j=8, eps=1e-2, steps=12, ic_grid=2, out=str(tmp_path)
+            kind="rmt-compare", j=8, eps_list=(1e-2,), steps=12, ic_grid=2, out=str(tmp_path)
         )
         run(cfg)
         header, data = read_table(tmp_path / "rmt_compare_eps0.01.tsv")
@@ -531,7 +548,7 @@ class TestRunRmtCompare:
 
     def test_zero_coupling_all_columns_zero(self, tmp_path):
         cfg = RunConfig(
-            kind="rmt-compare", j=6, eps=0.0, steps=8, ic_grid=2, out=str(tmp_path)
+            kind="rmt-compare", j=6, eps_list=(0.0,), steps=8, ic_grid=2, out=str(tmp_path)
         )
         run(cfg)
         _, data = read_table(tmp_path / "rmt_compare_eps0.tsv")
@@ -570,18 +587,8 @@ class TestRunStats:
 
     def test_rdm_mode_pools_eigenvectors(self, tmp_path):
         cfg = RunConfig(
-            kind="stats", j=6, k=6.0, eps=1e-2, snapshots=(5,), stats_mode="rdm",
-            pool="all", out=str(tmp_path),
+            kind="stats-rdm", j=6, k=6.0, eps=1e-2, snapshots=(5,), out=str(tmp_path),
         )
         run(cfg)
         _, data = read_table(tmp_path / "stats_components.tsv")
         assert data.shape == (169, 3)  # 13 eigenvectors x 13 components
-
-    def test_rdm_mode_top_pool(self, tmp_path):
-        cfg = RunConfig(
-            kind="stats", j=6, k=6.0, eps=1e-2, snapshots=(5,), stats_mode="rdm",
-            pool="top", out=str(tmp_path),
-        )
-        run(cfg)
-        _, data = read_table(tmp_path / "stats_components.tsv")
-        assert data.shape == (78, 3)  # top half: 6 of 13 eigenvectors

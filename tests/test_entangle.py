@@ -311,6 +311,11 @@ class TestRdmValidation:
         with pytest.raises(ValueError, match="square"):
             ReducedDensityMatrix(np.zeros(shape, dtype=complex))
 
+    def test_rejects_empty(self):
+        # before the Hermiticity check, whose max of no entries has no identity
+        with pytest.raises(ValueError, match="RDM must not be empty"):
+            ReducedDensityMatrix(np.zeros((0, 0), dtype=complex))
+
     @pytest.mark.parametrize("kernel", ["schmidt", "m2_rdm", "husimi_field"])
     @pytest.mark.parametrize("bad", ["trace3", "non_square", "vector"])
     def test_raw_array_gets_full_checks(self, kernel, bad):

@@ -1,4 +1,4 @@
-"""Golden outputs: every data TSV of the six subcommands at j = 10 for 20
+"""Golden outputs: every data TSV of the seven subcommands at j = 10 for 20
 steps, byte for byte against the files under tests/golden/.
 
 A pure refactor keeps these files byte-identical; a change to the numerics
@@ -29,8 +29,7 @@ CASES = {
     "rmt-compare": ("rmt-compare", {"j": 10, "steps": 20, "ic_grid": 2,
                                     "eps_list": "1e-3, 1e-2"}),
     "stats-state": ("stats", {"j": 10, "steps": 20, "snapshots": "0, 10, 20"}),
-    "stats-rdm": ("stats", {"j": 10, "steps": 20, "snapshots": "0, 20",
-                            "stats_mode": "rdm", "pool": "top"}),
+    "stats-rdm": ("stats-rdm", {"j": 10, "steps": 20, "snapshots": "0, 20"}),
 }
 
 
@@ -63,6 +62,19 @@ def test_outputs_match_golden(case, tmp_path):
         assert got.read_bytes() == want.read_bytes(), (
             f"{case}/{got.name} differs: {deviation(got, want)}"
         )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rerun_from_manifest_is_byte_identical(case, tmp_path):
+    # the manifest is a config file: identical config, byte-identical data files
+    produced = run_case(case, tmp_path / case)
+    kind = CASES[case][0]
+    manifest = tmp_path / case / f"{kind.replace('-', '_')}_manifest.txt"
+    assert main([kind, "--config", str(manifest), "--out", str(tmp_path / "rerun")]) == 0
+    rerun = sorted((tmp_path / "rerun").glob("*.tsv"))
+    assert [p.name for p in rerun] == [p.name for p in produced]
+    for got, want in zip(rerun, produced):
+        assert got.read_bytes() == want.read_bytes(), f"{case}/{got.name} differs"
 
 
 if __name__ == "__main__":

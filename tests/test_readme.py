@@ -1,4 +1,5 @@
-"""Every ```python block of README.md runs as written, with src on the path."""
+"""README.md against the code: every ```python block runs as written, with
+src on the path, and the CLI tables name each subcommand and its keys."""
 
 import os
 import re
@@ -8,9 +9,38 @@ from pathlib import Path
 
 import pytest
 
+from ktops.cli import _COUPLED, SUBCOMMANDS
+
 ROOT = Path(__file__).resolve().parents[1]
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
-                    flags=re.S | re.M)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, flags=re.S | re.M)
+
+
+def table_rows(first_column: str, second_column: str) -> dict:
+    """The table whose header names these columns: first cell -> second cell."""
+    header = re.search(rf"^\| {first_column} +\| {second_column} +\|\n\|[-|]+\|\n", README, re.M)
+    assert header, f"no README table headed {first_column} | {second_column}"
+    rows = {}
+    for line in README[header.end():].splitlines():
+        if not line.startswith("|"):
+            break
+        first, second = (cell.strip() for cell in line.strip("|").split("|", 1))
+        rows[first.strip("`")] = second
+    return rows
+
+
+def test_cli_key_table_names_each_subcommands_keys():
+    rows = table_rows("subcommand", "config keys")
+    assert list(rows) == list(SUBCOMMANDS)
+    for kind, cell in rows.items():
+        named = []
+        for item in cell.split(", "):
+            named += _COUPLED if item == "the coupled keys" else [item.strip("`")]
+        assert sorted(named) == sorted(SUBCOMMANDS[kind][1]), kind
+
+
+def test_cli_output_table_has_a_row_per_subcommand():
+    assert list(table_rows("subcommand", "output")) == list(SUBCOMMANDS)
 
 
 def test_readme_has_python_blocks():
