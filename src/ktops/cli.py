@@ -159,8 +159,9 @@ def _convert(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """One `key = value` per line; # starts a comment; blank lines ignored."""
-    out = {}
+    """One `key = value` per line; # starts a comment; blank lines ignored;
+    a key may be set once."""
+    out, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -170,6 +171,9 @@ def parse_config_text(text: str) -> dict:
         key, _, raw = (part.strip() for part in body.partition("="))
         if key not in _CONVERTERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"lines {set_on[key]} and {lineno} both set {key!r}")
+        set_on[key] = lineno
         out[key] = _convert(key, raw)
     return out
 

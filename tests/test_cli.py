@@ -193,9 +193,13 @@ class TestExitCodes:
     def test_bad_flag(self):
         assert main(["evolve", "--j", "not-an-int"]) == 1
 
-    def test_numeric_range_error(self, tmp_path, capsys):
-        # m2_pure overflows at j = 320: exit 1 with one message, and no output
-        rc = main(["deltaneff", "--j", "320", "--steps", "1", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv", [
+        ["deltaneff", "--j", "320", "--steps", "1"],  # m2_pure overflows at j = 320
+        ["evolve", "--j", "261", "--steps", "3"],  # m2_rdm overflows at step 3 from j = 261
+    ], ids=" ".join)
+    def test_numeric_range_error(self, tmp_path, capsys, argv):
+        # exit 1 with one message, and no output
+        rc = main([*argv, "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
@@ -345,6 +349,7 @@ REJECTED_CONFIGS = [
     ("stats", ["eps = 0.5", "k1 = 2"], "stats does not read ['eps', 'k1']"),
     ("stats", ["pool = top"], "line 1: unknown key 'pool'"),
     ("stats", ["stats_mode = state", "pool = all"], "line 1: unknown key 'stats_mode'"),
+    ("evolve", ["j = 10", "steps = 3", "j = 20"], "lines 1 and 3 both set 'j'"),
 ]
 
 

@@ -1,5 +1,6 @@
 """README.md against the code: every ```python block runs as written, with
-src on the path, and the CLI tables name each subcommand and its keys."""
+src on the path, the CLI tables name each subcommand and its keys, and the
+expected acceptance outcome counts each criterion."""
 
 import os
 import re
@@ -41,6 +42,13 @@ def test_cli_key_table_names_each_subcommands_keys():
 
 def test_cli_output_table_has_a_row_per_subcommand():
     assert list(table_rows("subcommand", "output")) == list(SUBCOMMANDS)
+
+
+def test_acceptance_outcome_counts_each_criterion():
+    stated = re.search(r"Expected acceptance outcome: \d+ of (\d+) criteria pass", README)
+    assert stated, "README states no expected acceptance outcome"
+    source = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    assert int(stated[1]) == len(re.findall(r"^def test_criterion_", source, re.M))
 
 
 def test_readme_has_python_blocks():
