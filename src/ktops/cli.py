@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .classical import phase_portrait
-from .entangle import entropies, ks_exponential, reduce, schmidt
+from .entangle import entropies, ks_exponential, linear_entropy, reduce, schmidt
 from .evolve import (
     TopParams,
     build_single_propagator,
@@ -329,25 +329,24 @@ def _deltaneff(cfg: RunConfig):
 
 
 def _rmt_compare(cfg: RunConfig):
-    """Per eps, the measured S_R averaged over a lattice of initial coherent
-    products, next to both analytic evaluation routes.  Every eps is computed
-    before the first table is yielded, so a numeric range error at a later
-    eps leaves no partial output."""
+    """Per eps, the measured S_R averaged over coherent products started with
+    both tops at each point of the ic_grid x ic_grid midpoint lattice of
+    SphericalGrid, next to both analytic evaluation routes.  Every eps is
+    computed before the first table is yielded, so a numeric range error at
+    a later eps leaves no partial output."""
     spin, g = cfg.spin, cfg.ic_grid
-    thetas = (np.arange(g) + 0.5) * math.pi / g
-    phis = -math.pi + (np.arange(g) + 0.5) * 2.0 * math.pi / g
+    grid = SphericalGrid.build(spin, g, g)
     n_arr = np.arange(1, cfg.steps + 1)
     tables = []
     for eps in cfg.epsilons():
         d, phases = coupled_propagator(spin, *cfg.kick_pair(), eps)
         acc = np.zeros(cfg.steps)
-        for th in thetas:
-            for ph in phis:
+        for th in grid.thetas:
+            for ph in grid.phis:
                 state0 = initial_product_state(spin, th, ph, th, ph)
                 for n, a in trajectory(state0, d, phases, cfg.steps):
                     if n > 0:
-                        rho = a @ a.conj().T
-                        acc[n - 1] += 1.0 - float((np.abs(rho) ** 2).sum())
+                        acc[n - 1] += linear_entropy(a)
         acc /= g * g
         tables.append((_rmt_compare_file(eps), "# n\tsr_measured\tsr_exact_sum\tsr_closed_form",
                        (n_arr, acc, sr_analytic(n_arr, spin, eps, "exact-sum"),

@@ -1,5 +1,6 @@
-"""Partial trace, Schmidt spectra, entanglement entropies, and the
-Kolmogorov-Smirnov statistic of eigenvector components."""
+"""Partial trace, Schmidt spectra, entanglement entropies, the linear
+entropy straight from the joint amplitudes, and the Kolmogorov-Smirnov
+statistic of eigenvector components."""
 
 from __future__ import annotations
 
@@ -79,6 +80,14 @@ def entropies(spectrum: SchmidtSpectrum) -> Tuple[float, float]:
     s_v = float(-(pos * np.log(pos)).sum())
     s_r = float(1.0 - (lam * lam).sum())
     return s_v, s_r
+
+
+def linear_entropy(a: np.ndarray) -> float:
+    """S_R = 1 - Tr rho_1^2 = 1 - ||a a^dagger||_F^2 of the N x N joint
+    amplitudes a, with no spectrum; rho_1 is formed as in reduce() but not
+    checked."""
+    rho = a @ a.conj().T
+    return 1.0 - float((np.abs(rho) ** 2).sum())
 
 
 def ks_exponential(values: np.ndarray) -> float:

@@ -20,21 +20,15 @@ import pytest
 
 from ktops.classical import poisson_residual
 from ktops.entangle import reduce, schmidt
-from ktops.evolve import (
-    TopParams,
-    build_single_propagator,
-    coupled_propagator,
-    coupled_step,
-    initial_product_state,
-    trajectory,
-)
+from ktops.evolve import coupled_propagator, coupled_step, initial_product_state, trajectory
 from ktops.husimi import SphericalGrid, husimi_field, m2_pure, m2_rdm
 from ktops.rmt import predictions, sr_weak_rate
 from ktops.spincore import SpinQuantum, coherent_amplitudes, wigner_d_half_pi
 from ktops.cli import RunConfig, run
 
-from test_classical import correct_map, wrong_coupled_map
-from test_entangle import subsystem_symmetry_check
+from test_classical import correct_map, random_state, wrong_coupled_map
+from test_entangle import brute_force_partial_trace, subsystem_symmetry_check
+from test_evolve import dense_coupled_step
 from test_husimi import m2_quadrature
 from test_spincore import wigner_entry_exact
 
@@ -184,14 +178,9 @@ def test_criterion_08_oracle_equivalence():
     worst_step = 0.0
     for two_j in (2, 4, 6):
         spin = SpinQuantum(two_j)
-        kick1, d = build_single_propagator(TopParams(spin, 1.3))
-        kick2, _ = build_single_propagator(TopParams(spin, 2.7))
-        p1, p2 = kick1[:, None] * d, kick2[:, None] * d
         state = initial_product_state(spin, 0.89, 0.63, 1.2, -2.0)
         stepped = coupled_step(state, *coupled_propagator(spin, 1.3, 2.7, 0.23))
-        m = spin.m_values()
-        dense = np.diag(np.exp(-2j * 0.23 / two_j * np.outer(m, m).ravel())) @ np.kron(p1, p2)
-        ref = (dense @ state.ravel()).reshape(spin.dim, spin.dim)
+        ref = dense_coupled_step(state, spin, 1.3, 2.7, 0.23)
         worst_step = max(worst_step, np.abs(stepped - ref).max())
 
     # Wigner d(pi/2) vs the direct finite sum, j <= 20
@@ -211,13 +200,8 @@ def test_criterion_08_oracle_equivalence():
         n = spin.dim
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a /= np.linalg.norm(a)
-        rho = reduce(a).entries
-        ref = np.zeros((n, n), dtype=complex)
-        for m1 in range(n):
-            for n1 in range(n):
-                for m2 in range(n):
-                    ref[m1, n1] += a[m1, m2] * np.conj(a[n1, m2])
-        worst_trace = max(worst_trace, np.abs(rho - ref).max())
+        ref = brute_force_partial_trace(a, 1)
+        worst_trace = max(worst_trace, np.abs(reduce(a).entries - ref).max())
 
     ok = (
         worst_m2 < 1e-4 and worst_step < 1e-12
@@ -232,13 +216,7 @@ def test_criterion_08_oracle_equivalence():
 
 def test_criterion_09_canonicity_suite():
     rng = np.random.default_rng(1)
-
-    def rand_state():
-        v = rng.normal(size=3)
-        w = rng.normal(size=3)
-        return np.stack([v / np.linalg.norm(v), w / np.linalg.norm(w)])
-
-    states = [rand_state() for _ in range(100)]
+    states = [random_state(rng) for _ in range(100)]
     worst = 0.0
     for k in (1.0, 2.0, 3.0, 6.0):
         for eps in (1e-2, 1e-3, 1e-4):

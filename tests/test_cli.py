@@ -34,18 +34,45 @@ def read_table(path):
     return header, data
 
 
+def src_env(**overrides) -> dict:
+    """This process's environment with these variables set and src first on
+    PYTHONPATH, for running ktops in a subprocess."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     # importing scipy.linalg adds 0.10-0.13 s to every CLI start-up, and
     # scipy.special (Si/Ci, needed only by the closed-form S_R law) 0.25 s
-    src = str(ROOT / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, ktops.cli\n"
         "for name in ('scipy.linalg', 'scipy.special'):\n"
         "    assert name not in sys.modules, name"
     )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+
+def test_evolve_bytes_repeat_at_one_blas_thread_count(tmp_path):
+    # identical configs give identical bytes on one BLAS build at one thread
+    # count; at j = 80 the BLAS splits its products by thread count, so the
+    # two counts may differ in the last digits, which is printed, not asserted
+    tables = {}
+    for threads in ("1", "2"):
+        runs = []
+        for rep in range(2):
+            out = tmp_path / f"threads{threads}_run{rep}"
+            subprocess.run([sys.executable, "-m", "ktops.cli", "evolve", "--j", "80",
+                            "--steps", "30", "--out", str(out)],
+                           env=src_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                           capture_output=True)
+            runs.append(out / "evolve_entropy.tsv")
+        assert runs[0].read_bytes() == runs[1].read_bytes(), f"{threads} BLAS thread(s)"
+        tables[threads] = read_table(runs[0])[1]
+    diff = np.abs(tables["1"] - tables["2"])
+    rel = diff / np.maximum(np.abs(tables["1"]), np.finfo(float).tiny)
+    print(f"1 vs 2 BLAS threads: {int((diff.max(axis=1) > 0).sum())} of {len(diff)} rows "
+          f"differ, by up to {diff.max():.1e} absolute and {rel.max():.1e} relative")
 
 
 class TestConfigParsing:

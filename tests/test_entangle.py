@@ -1,16 +1,16 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktops.cli import RunConfig, run
+from ktops.cli import RunConfig, _component_tables, run
 from ktops.entangle import (
     ReducedDensityMatrix,
     entropies,
     ks_exponential,
+    linear_entropy,
     reduce,
     schmidt,
 )
@@ -30,47 +30,11 @@ def random_state(spin, seed=0) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
-def linear_entropy_direct(state: np.ndarray) -> float:
-    """1 - Tr rho_1^2 without an eigendecomposition (Frobenius norm of the RDM)."""
-    rho = reduce(state).entries
-    return float(1.0 - (np.abs(rho) ** 2).sum())
-
-
 def subsystem_symmetry_check(state: np.ndarray) -> float:
     """|S_V(rho_1) - S_V(rho_2)|; zero for any exact Schmidt decomposition."""
     sv1, _ = entropies(schmidt(reduce(state)))
     sv2, _ = entropies(schmidt(reduce(state.T)))
     return abs(sv1 - sv2)
-
-
-@dataclass(frozen=True)
-class ComponentStats:
-    mean_re: float
-    var_re: float
-    mean_im: float
-    var_im: float
-    ks_exponential: float
-
-
-def component_statistics(vector: np.ndarray) -> ComponentStats:
-    """Moments of Re/Im parts and the KS statistic of N |c|^2 vs Exp(1).
-
-    GUE-distributed vectors give Gaussian components and exponential N |c|^2;
-    the asymptotic 5% KS band is 1.36 / sqrt(N).
-    """
-    v = np.asarray(vector)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"vector norm {nrm!r} too far from 1")
-    n = len(v)
-    scaled = n * np.abs(v) ** 2
-    return ComponentStats(
-        mean_re=float(v.real.mean()),
-        var_re=float(v.real.var()),
-        mean_im=float(v.imag.mean()),
-        var_im=float(v.imag.var()),
-        ks_exponential=ks_exponential(scaled),
-    )
 
 
 def brute_force_partial_trace(a: np.ndarray, subsystem: int) -> np.ndarray:
@@ -229,7 +193,8 @@ class TestEntropies:
     def test_direct_linear_entropy_matches_spectrum(self):
         state = random_state(SpinQuantum(40), 9)
         _, s_r = entropies(schmidt(reduce(state)))
-        assert linear_entropy_direct(state) == pytest.approx(s_r, abs=1e-12)
+        assert linear_entropy(state) == pytest.approx(s_r, abs=1e-12)
+        assert linear_entropy(state.T) == pytest.approx(s_r, abs=1e-12)
 
 
 class TestSubsystemSymmetry:
@@ -253,10 +218,11 @@ class TestComponentStatistics:
     def test_basis_vector_maximally_non_exponential(self):
         v = np.zeros(161, dtype=complex)
         v[80] = 1.0
-        stats = component_statistics(v)
-        assert stats.ks_exponential > 0.9
+        assert ks_exponential(161 * np.abs(v) ** 2) > 0.9
 
     def test_synthetic_gue_vectors_pass(self):
+        # N |c|^2 of a GUE vector is exponential; the asymptotic 5% KS band
+        # is 1.36 / sqrt(N)
         n = 161
         threshold = 1.36 / math.sqrt(n)
         passed = 0
@@ -265,7 +231,7 @@ class TestComponentStatistics:
             rng = np.random.default_rng(seed)
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             v /= np.linalg.norm(v)
-            if component_statistics(v).ks_exponential < threshold:
+            if ks_exponential(n * np.abs(v) ** 2) < threshold:
                 passed += 1
         assert passed >= int(0.95 * draws)
 
@@ -274,20 +240,20 @@ class TestComponentStatistics:
         n = 4001
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
-        stats = component_statistics(v)
-        assert abs(stats.mean_re) < 3.0 / n**0.5 / n**0.5  # ~3 sigma of the mean
-        assert stats.var_re == pytest.approx(1.0 / (2 * n), rel=0.1)
-        assert stats.var_im == pytest.approx(1.0 / (2 * n), rel=0.1)
+        # the summary row that stats writes for a state of dimension n
+        cfg = RunConfig(kind="stats", j=(n - 1) // 2)
+        *_, (name, _, (moments, n_samples)) = _component_tables(cfg, [v])
+        assert name == "stats_summary.tsv" and n_samples == [n]
+        mean_re, var_re, _, var_im, _ = moments[0]
+        assert abs(mean_re) < 3.0 / n**0.5 / n**0.5  # ~3 sigma of the mean
+        assert var_re == pytest.approx(1.0 / (2 * n), rel=0.1)
+        assert var_im == pytest.approx(1.0 / (2 * n), rel=0.1)
 
     def test_ks_in_unit_interval(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=64) + 1j * rng.normal(size=64)
         v /= np.linalg.norm(v)
-        assert 0.0 <= component_statistics(v).ks_exponential <= 1.0
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            component_statistics(np.ones(8, dtype=complex))
+        assert 0.0 <= ks_exponential(64 * np.abs(v) ** 2) <= 1.0
 
     def test_ks_exponential_of_exact_sample(self):
         # inverse-CDF sample has the ECDF pinned to the model CDF

@@ -18,13 +18,7 @@ from ktops.evolve import (
     trajectory,
 )
 from ktops.spincore import SpinQuantum, wigner_d_half_pi
-
-
-def random_state(spin, seed=0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    n = spin.dim
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return a / np.linalg.norm(a)
+from test_entangle import random_state
 
 
 def final_state(state0, d, phases, n_steps):
@@ -37,6 +31,16 @@ def dense_propagator(spin, k) -> np.ndarray:
     """U = diag(kick) d as one complex matrix."""
     kick, d = build_single_propagator(TopParams(spin, k))
     return kick.reshape(-1, 1) * d
+
+
+def dense_coupled_step(state, spin, k1, k2, eps) -> np.ndarray:
+    """U_eps (U1 kron U2) applied to the flattened state: the brute-force
+    oracle for coupled_step."""
+    p1, p2 = dense_propagator(spin, k1), dense_propagator(spin, k2)
+    m = spin.m_values()
+    u_eps = np.diag(np.exp(-2j * eps / spin.two_j * np.outer(m, m).ravel()))
+    dense = u_eps @ np.kron(p1, p2)
+    return (dense @ state.ravel()).reshape(spin.dim, spin.dim)
 
 
 def complex_step(psi, u1, u2, coupling):
@@ -102,17 +106,10 @@ class TestInitialState:
 class TestCoupledStep:
     @pytest.mark.parametrize("two_j", [2, 4, 6])
     def test_matches_dense_operator(self, two_j):
-        # brute-force oracle: U_eps (U1 kron U2) applied to the flattened state
         spin = SpinQuantum(two_j)
-        n = spin.dim
-        p1, p2 = dense_propagator(spin, 1.3), dense_propagator(spin, 2.7)
-        eps = 0.23
         state = initial_product_state(spin, 0.89, 0.63, 1.2, -2.0)
-        out = coupled_step(state, *coupled_propagator(spin, 1.3, 2.7, eps))
-        m = spin.m_values()
-        u_eps = np.diag(np.exp(-2j * eps / two_j * np.outer(m, m).ravel()))
-        dense = u_eps @ np.kron(p1, p2)
-        ref = (dense @ state.ravel()).reshape(n, n)
+        out = coupled_step(state, *coupled_propagator(spin, 1.3, 2.7, 0.23))
+        ref = dense_coupled_step(state, spin, 1.3, 2.7, 0.23)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_zero_coupling_factorizes(self):

@@ -234,6 +234,16 @@ class TestFWeight:
             want = math.comb(two_j, k)
             assert abs(Fraction(got) ** 2 - want) <= 2 * Fraction(np.spacing(float(want)))
 
+    def test_weights_normal_through_j_256(self):
+        # w_s ~ 1 / C(4j, 2j+s) reaches the subnormals from j = 257, where
+        # the weights keep fewer than 53 bits (about 4e-12 relative at j = 260)
+        tiny = np.finfo(float).tiny
+        for two_j in (510, 512):
+            for arr in _m2_weights(two_j + 1):
+                assert arr.min() >= tiny, two_j
+        _, w = _m2_weights(515)
+        assert (len(w), int((w < tiny).sum())) == (1029, 49)
+
     def test_weights_overflow_raises(self):
         # C(2j, j) leaves the float range from 2j ~ 1030
         with pytest.raises(FloatingPointError, match="M2 weights"):

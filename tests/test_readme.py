@@ -2,7 +2,6 @@
 src on the path, the CLI tables name each subcommand and its keys, and the
 expected acceptance outcome counts each criterion."""
 
-import os
 import re
 import subprocess
 import sys
@@ -10,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ktops.cli import _COUPLED, SUBCOMMANDS
+from ktops.cli import _COUPLED, SUBCOMMANDS, RunConfig
+from test_cli import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -44,6 +44,13 @@ def test_cli_output_table_has_a_row_per_subcommand():
     assert list(table_rows("subcommand", "output")) == list(SUBCOMMANDS)
 
 
+def test_rmt_compare_k2_offset_matches_code():
+    stated = re.search(r"unset `k2` is `k1 \+ ([0-9.]+)`", README)
+    assert stated, "README states no k2 offset for rmt-compare"
+    k1, k2 = RunConfig(kind="rmt-compare", k1=2.0).kick_pair()
+    assert k2 == k1 + float(stated[1])
+
+
 def test_acceptance_outcome_counts_each_criterion():
     stated = re.search(r"Expected acceptance outcome: \d+ of (\d+) criteria pass", README)
     assert stated, "README states no expected acceptance outcome"
@@ -57,8 +64,6 @@ def test_readme_has_python_blocks():
 
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(code, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
