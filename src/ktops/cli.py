@@ -8,7 +8,9 @@ Exit status: 0 success, 1 configuration or numeric range error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 import time
 import typing
@@ -328,29 +330,79 @@ def _deltaneff(cfg: RunConfig):
     yield "deltaneff_single.tsv", "# n\tm2_pure\tdelta_n_eff", (steps, rows)
 
 
+def _sr_series(spin: SpinQuantum, theta: float, phi: float, d: np.ndarray, phases: np.ndarray,
+               steps: int) -> np.ndarray:
+    """S_R after each coupled period 1..steps from the coherent product with
+    both tops at (theta, phi), built here so that no caller holds every
+    initial state at once."""
+    state0 = initial_product_state(spin, theta, phi, theta, phi)
+    return np.array([linear_entropy(a) for n, a in trajectory(state0, d, phases, steps) if n > 0])
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Processes for n_tasks independent trajectories: one per BLAS thread
+    pool that fits the CPUs this process may run on, at most one per task.
+    The BLAS thread count is OpenBLAS's own: the first of its variables set
+    to a positive integer, else every CPU.  Oversubscribed, two 2-thread
+    workers on 2 CPUs took 3.5-38 s where one process took 1.6-1.8 s."""
+    cpus = len(os.sched_getaffinity(0))
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(n_tasks, cpus // blas))
+
+
+@contextlib.contextmanager
+def _task_map(n_tasks: int):
+    """A map for n_tasks independent calls: the builtin map with one worker,
+    so no pool is made and nothing more imported; else the lazy map of a
+    pool of forked processes, which is shut down on exit with its pending
+    calls cancelled.  Fork, not spawn: a spawned worker imports numpy again
+    (about 0.2 s), and the scripts/ drivers run at import with no main guard."""
+    workers = _worker_count(n_tasks)
+    if workers == 1:
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _rmt_compare(cfg: RunConfig):
     """Per eps, the measured S_R averaged over coherent products started with
     both tops at each point of the ic_grid x ic_grid midpoint lattice of
-    SphericalGrid, next to both analytic evaluation routes.  Every eps is
+    SphericalGrid, next to both analytic evaluation routes.  The trajectories
+    run in _worker_count processes, and with more than one the analytic
+    routes are evaluated here meanwhile; each eps sums its lattice in one
+    order, so the bytes do not depend on the worker count.  Every eps is
     computed before the first table is yielded, so a numeric range error at
     a later eps leaves no partial output."""
     spin, g = cfg.spin, cfg.ic_grid
     grid = SphericalGrid.build(spin, g, g)
     n_arr = np.arange(1, cfg.steps + 1)
+    eps_list = cfg.epsilons()
+    propagators = [coupled_propagator(spin, *cfg.kick_pair(), eps) for eps in eps_list]
+    points = [(th, ph) for th in grid.thetas for ph in grid.phis]
+    tasks = [(spin, th, ph, d, phases, cfg.steps) for d, phases in propagators for th, ph in points]
     tables = []
-    for eps in cfg.epsilons():
-        d, phases = coupled_propagator(spin, *cfg.kick_pair(), eps)
-        acc = np.zeros(cfg.steps)
-        for th in grid.thetas:
-            for ph in grid.phis:
-                state0 = initial_product_state(spin, th, ph, th, ph)
-                for n, a in trajectory(state0, d, phases, cfg.steps):
-                    if n > 0:
-                        acc[n - 1] += linear_entropy(a)
-        acc /= g * g
-        tables.append((_rmt_compare_file(eps), "# n\tsr_measured\tsr_exact_sum\tsr_closed_form",
-                       (n_arr, acc, sr_analytic(n_arr, spin, eps, "exact-sum"),
-                        sr_analytic(n_arr, spin, eps, "closed-form"))))
+    with _task_map(len(tasks)) as task_map:
+        series = task_map(_sr_series, *zip(*tasks))
+        for eps in eps_list:
+            laws = [sr_analytic(n_arr, spin, eps, mode) for mode in ("exact-sum", "closed-form")]
+            acc = np.zeros(cfg.steps)
+            for _ in points:
+                acc += next(series)
+            acc /= g * g
+            tables.append((_rmt_compare_file(eps), "# n\tsr_measured\tsr_exact_sum\tsr_closed_form",
+                           (n_arr, acc, *laws)))
     yield from tables
 
 

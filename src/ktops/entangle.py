@@ -21,10 +21,11 @@ class ReducedDensityMatrix:
             raise ValueError(f"RDM must be square, got shape {self.entries.shape}")
         if self.entries.size == 0:
             raise ValueError("RDM must not be empty, got shape (0, 0)")
-        if np.abs(self.entries - self.entries.conj().T).max() > _HERMITICITY_TOL:
+        # written as `not <=`, so that NaN fails each check
+        if not np.abs(self.entries - self.entries.conj().T).max() <= _HERMITICITY_TOL:
             raise ValueError("RDM not Hermitian within tolerance")
         tr = np.trace(self.entries).real
-        if abs(tr - 1.0) > 1e-8:
+        if not abs(tr - 1.0) <= 1e-8:
             raise ValueError(f"RDM trace {tr!r} too far from 1")
 
 

@@ -97,13 +97,14 @@ def trajectory(
     psi0: np.ndarray, d: np.ndarray, phases: np.ndarray, n_steps: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, state after n coupled periods) for n = 0..n_steps.  A state
-    whose norm is off 1 by more than 1e-8 raises ValueError, psi0 included."""
+    whose norm is off 1 by more than 1e-8, or NaN, raises ValueError, psi0
+    included."""
     psi = psi0
     for n in range(n_steps + 1):
         if n > 0:
             psi = coupled_step(psi, d, phases)
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm {norm!r} too far from 1 at step {n}")
         yield n, psi
 

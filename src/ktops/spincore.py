@@ -91,7 +91,8 @@ def coherent_amplitude_block(
     Component at m is (1 + |g|^2)^(-j) g^(j-m) sqrt(C(2j, j+m)) with
     g = exp(i phi) tan(theta / 2), evaluated in log space; rows come out unit
     norm.  The poles are snapped from the angle to a basis vector: theta = 0
-    (or too small to halve) to m = +j, theta = pi to m = -j.
+    (or too small to halve) to m = +j, theta = pi to m = -j.  A phi so large
+    that a phase phi (j - m) is not finite raises FloatingPointError.
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -108,7 +109,11 @@ def coherent_amplitude_block(
         + np.outer(np.log(t), j_minus_m)
         + 0.5 * ln_c.reshape(1, -1)
     )
-    block = np.exp(ln_mag) * np.exp(1j * np.outer(phis, j_minus_m))
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        phases = np.exp(1j * np.outer(phis, j_minus_m))
+    if not np.isfinite(phases).all():
+        raise FloatingPointError("coherent-state phases overflowed; phi out of supported range")
+    block = np.exp(ln_mag) * phases
     block[at_north] = 0.0
     block[at_north, -1] = 1.0
     block[at_south] = 0.0

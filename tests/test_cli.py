@@ -1,5 +1,6 @@
 import ast
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ktops import cli
 from ktops.cli import (
     SUBCOMMANDS,
     ConfigError,
@@ -24,6 +26,7 @@ from ktops.husimi import husimi_field
 from test_golden import CASES as GOLDEN_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def read_table(path):
@@ -44,10 +47,12 @@ def src_env(**overrides) -> dict:
 
 def test_import_leaves_scipy_linalg_unloaded():
     # importing scipy.linalg adds 0.10-0.13 s to every CLI start-up, and
-    # scipy.special (Si/Ci, needed only by the closed-form S_R law) 0.25 s
+    # scipy.special (Si/Ci, needed only by the closed-form S_R law) 0.25 s;
+    # the process pool's modules are imported by a pooled rmt-compare alone
     code = (
         "import sys, ktops.cli\n"
-        "for name in ('scipy.linalg', 'scipy.special'):\n"
+        "for name in ('scipy.linalg', 'scipy.special', 'multiprocessing', "
+        "'concurrent.futures'):\n"
         "    assert name not in sys.modules, name"
     )
     subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
@@ -262,12 +267,21 @@ class TestExitCodes:
         ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e200"],
         ["rmt-compare", "--ic_grid", "1", "--eps_list", "1e307"],
         ["deltaneff", "--k", "1e308"],
+        ["evolve", "--phi0=-1e308"],
+        ["evolve", "--phi0_2=1e308"],
+        ["stats-rdm", "--phi0=1e308"],
+        ["stats-rdm", "--phi0_2=-1e308"],
+        ["husimi", "--phi0=-1e308"],
+        ["husimi", "--phi0_2=1e308"],
+        ["stats", "--phi0=1e308"],
+        ["stats", "--phi0=-1e308"],
+        ["deltaneff", "--phi0=1e308"],
     ], ids=" ".join)
     def test_phase_overflow_is_numeric_range_error(self, tmp_path, capsys, argv):
-        # finite but huge kick or coupling: non-finite phases, no NaN row, and
-        # no file from an eps computed before the failing one; an eps whose
-        # closed-form bracket leaves the float range (1e200, 1e307) fails the
-        # same way
+        # finite but huge kick, coupling or coherent-state phi: non-finite
+        # phases, no NaN row, and no file from an eps computed before the
+        # failing one; an eps whose closed-form bracket leaves the float
+        # range (1e200, 1e307) fails the same way
         kind, *flags = argv
         assert main([kind, "--j", "4", "--steps", "3", *flags, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -595,6 +609,93 @@ class TestRunRmtCompare:
         assert set(manifest.files) == {
             "rmt_compare_eps0.001.tsv", "rmt_compare_eps0.01.tsv"
         }
+
+
+def rmt_compare_bytes(outdir: Path, pin_cpu=None) -> dict:
+    """The TSVs of one rmt-compare subprocess at 1 BLAS thread, pinned to
+    the CPU pin_cpu if given: file name -> bytes."""
+    pin = None if pin_cpu is None else (lambda: os.sched_setaffinity(0, {pin_cpu}))
+    subprocess.run([sys.executable, "-m", "ktops.cli", "rmt-compare", "--j", "20",
+                    "--steps", "15", "--ic_grid", "3", "--eps_list", "1e-3,1e-2",
+                    "--out", str(outdir)],
+                   env=src_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=pin, check=True,
+                   capture_output=True)
+    return {path.name: path.read_bytes() for path in sorted(outdir.glob("*.tsv"))}
+
+
+class TestRmtComparePool:
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path):
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("one CPU: every run has one worker")
+        pinned = rmt_compare_bytes(tmp_path / "pinned", pin_cpu=min(cpus))
+        assert len(pinned) == 2
+        assert rmt_compare_bytes(tmp_path / "all") == pinned
+
+    @pytest.mark.parametrize("env, cpus, tasks, workers", [
+        ({}, 8, 48, 1),  # OpenBLAS's default: a thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 48, 8),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 48, 4),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 2, 48, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+         8, 48, 2),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 48, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 8, 48, 4),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 8, 48, 8),
+    ])
+    def test_worker_count(self, monkeypatch, env, cpus, tasks, workers):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert cli._worker_count(tasks) == workers
+
+    def test_default_environment_runs_in_process(self, tmp_path):
+        # with no BLAS thread variable each BLAS pool spans every CPU, so
+        # rmt-compare runs its trajectories here and imports no pool
+        # (scipy.special, which the analytic law loads, imports
+        # concurrent.futures itself, but not multiprocessing)
+        env = src_env()
+        for var in BLAS_THREAD_VARS:
+            env.pop(var, None)
+        code = (
+            "import sys, ktops.cli\n"
+            f"assert ktops.cli.main(['rmt-compare', '--j', '4', '--steps', '3', "
+            f"'--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'multiprocessing' not in sys.modules"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("eps_list, where", [
+        ("1e-3,1e-2", None),
+        ("1e-2,1e200", "parent"),
+        ("1e-2,1e307", "parent"),
+        ("1e-3,1e-2", "worker"),
+    ])
+    def test_no_child_outlives_main(self, tmp_path, capsys, monkeypatch, eps_list, where):
+        # a numeric range error in this process or in a worker exits 1 with
+        # one line and no file, as in one process; a fork child inherits the
+        # patched linear_entropy, so the worker's error names its own pid
+        monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 2)
+        if where == "worker":
+            def overflow(a):
+                raise FloatingPointError(f"in process {os.getpid()}")
+            monkeypatch.setattr(cli, "linear_entropy", overflow)
+        rc = main(["rmt-compare", "--j", "4", "--steps", "3", "--eps_list", eps_list,
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        if where is None:
+            assert rc == 0 and len(list(tmp_path.glob("*.tsv"))) == 2
+            return
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("numeric range error")
+        assert list(tmp_path.iterdir()) == []
+        if where == "worker":
+            assert "in process" in err and f"in process {os.getpid()}" not in err
 
 
 class TestRunStats:

@@ -272,6 +272,18 @@ class TestRdmValidation:
         with pytest.raises(ValueError):
             ReducedDensityMatrix(np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_rejects_nan(self, where):
+        # NaN fails the checks, which once passed it on to eigvalsh
+        bad = np.eye(2, dtype=complex) / 2
+        bad[where] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            ReducedDensityMatrix(bad)
+
+    def test_reduce_rejects_nan_state(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            reduce(np.full((3, 3), np.nan, dtype=complex))
+
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="square"):

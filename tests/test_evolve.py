@@ -241,6 +241,20 @@ class TestEvolve:
         with pytest.raises(ValueError, match="step 1"):
             next(steps)
 
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_rejects_nan_state(self, step):
+        # NaN fails the norm check, at the state it first appears in
+        spin = SpinQuantum(6)
+        state = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
+        d, phases = coupled_propagator(spin, 6.0, 6.0, 0.01)
+        if step == 0:
+            state = np.full_like(state, np.nan)
+        else:
+            phases = np.full_like(phases, np.nan)
+        steps = trajectory(state, d, phases, 5)
+        with pytest.raises(ValueError, match=f"at step {step}"):
+            list(steps)
+
     def test_uncoupled_run_stays_product(self):
         spin = SpinQuantum(40)
         state = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
