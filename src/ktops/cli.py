@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -280,18 +281,41 @@ def _snapshots(cfg: RunConfig, trajectory_of):
     return ((n, st) for n, st in trajectory_of(cfg, max(snaps)) if n in snaps)
 
 
-def _evolve(cfg: RunConfig):
-    """Coupled run: per recorded step S_V, S_R, occupancy and gamma of rho_1."""
-    n_dim = cfg.spin.dim
-    steps, rows = [], []
-    for n, st in _coupled_trajectory(cfg, cfg.steps):
-        if cfg.records(n):
+def _observed_rows(state0: np.ndarray, d: np.ndarray, phases: np.ndarray, recorded: list,
+                   part: int, parts: int) -> list:
+    """(S_V, S_R, occupancy, gamma) of rho_1 at each step of
+    recorded[part::parts].  The trajectory from state0 is stepped here up to
+    the last of those steps, so that each part can run in its own process."""
+    steps = recorded[part::parts]
+    observed = set(steps)
+    n_dim = len(d)
+    rows = []
+    for n, st in trajectory(state0, d, phases, steps[-1]):
+        if n in observed:
             rho = reduce(st)
             s_v, s_r = entropies(schmidt(rho))
             dn = delta_n_eff(m2_rdm(rho), n_dim)
-            steps.append(n)
             rows.append((s_v, s_r, dn, gamma_factor(s_v, dn, n_dim)))
-    yield "evolve_entropy.tsv", "# n\tS_V\tS_R\tdelta_n_eff\tgamma", (steps, rows)
+    return rows
+
+
+def _evolve(cfg: RunConfig):
+    """Coupled run: per recorded step S_V, S_R, occupancy and gamma of rho_1.
+    The recorded steps are dealt over _worker_count processes.  Each replays
+    the whole trajectory, since at j = 80 a Floquet step (about 1 ms) costs
+    less than shipping its state to another process (about 2 ms), and
+    observes its share.  Every process takes the same steps from the same
+    state, so the bytes do not depend on the worker count."""
+    recorded = [n for n in range(1, cfg.steps + 1) if cfg.records(n)]
+    state0 = initial_product_state(cfg.spin, *cfg.angles())
+    d, phases = coupled_propagator(cfg.spin, *cfg.kick_pair(), cfg.eps)
+    parts = _worker_count(len(recorded))
+    rows = [None] * len(recorded)
+    with _task_map(parts) as task_map:
+        observe = functools.partial(_observed_rows, state0, d, phases, recorded, parts=parts)
+        for part, part_rows in enumerate(task_map(observe, range(parts))):
+            rows[part::parts] = part_rows
+    yield "evolve_entropy.tsv", "# n\tS_V\tS_R\tdelta_n_eff\tgamma", (recorded, rows)
 
 
 def _portrait(cfg: RunConfig):
@@ -340,7 +364,8 @@ def _sr_series(spin: SpinQuantum, theta: float, phi: float, d: np.ndarray, phase
 
 
 def _worker_count(n_tasks: int) -> int:
-    """Processes for n_tasks independent trajectories: one per BLAS thread
+    """Processes for n_tasks independent parts of a run (rmt-compare's
+    trajectories, evolve's shares of the recorded steps): one per BLAS thread
     pool that fits the CPUs this process may run on, at most one per task.
     The BLAS thread count is OpenBLAS's own: the first of its variables set
     to a positive integer, else every CPU.  Oversubscribed, two 2-thread

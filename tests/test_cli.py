@@ -611,13 +611,11 @@ class TestRunRmtCompare:
         }
 
 
-def rmt_compare_bytes(outdir: Path, pin_cpu=None) -> dict:
-    """The TSVs of one rmt-compare subprocess at 1 BLAS thread, pinned to
-    the CPU pin_cpu if given: file name -> bytes."""
+def cli_bytes(outdir: Path, argv: list, pin_cpu=None) -> dict:
+    """The TSVs of one ktops subprocess running argv at 1 BLAS thread,
+    pinned to the CPU pin_cpu if given: file name -> bytes."""
     pin = None if pin_cpu is None else (lambda: os.sched_setaffinity(0, {pin_cpu}))
-    subprocess.run([sys.executable, "-m", "ktops.cli", "rmt-compare", "--j", "20",
-                    "--steps", "15", "--ic_grid", "3", "--eps_list", "1e-3,1e-2",
-                    "--out", str(outdir)],
+    subprocess.run([sys.executable, "-m", "ktops.cli", *argv, "--out", str(outdir)],
                    env=src_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=pin, check=True,
                    capture_output=True)
     return {path.name: path.read_bytes() for path in sorted(outdir.glob("*.tsv"))}
@@ -628,9 +626,15 @@ class TestRmtComparePool:
         cpus = os.sched_getaffinity(0)
         if len(cpus) < 2:
             pytest.skip("one CPU: every run has one worker")
-        pinned = rmt_compare_bytes(tmp_path / "pinned", pin_cpu=min(cpus))
-        assert len(pinned) == 2
-        assert rmt_compare_bytes(tmp_path / "all") == pinned
+        # evolve: 7 rows, the last (n = 20) off the stride, so 2 parts of 4 and 3
+        for argv, n_files in [
+            (["rmt-compare", "--j", "20", "--steps", "15", "--ic_grid", "3",
+              "--eps_list", "1e-3,1e-2"], 2),
+            (["evolve", "--j", "20", "--steps", "20", "--stride", "3"], 1),
+        ]:
+            pinned = cli_bytes(tmp_path / argv[0] / "pinned", argv, pin_cpu=min(cpus))
+            assert len(pinned) == n_files, argv[0]
+            assert cli_bytes(tmp_path / argv[0] / "all", argv) == pinned, argv[0]
 
     @pytest.mark.parametrize("env, cpus, tasks, workers", [
         ({}, 8, 48, 1),  # OpenBLAS's default: a thread per CPU
@@ -654,7 +658,7 @@ class TestRmtComparePool:
 
     def test_default_environment_runs_in_process(self, tmp_path):
         # with no BLAS thread variable each BLAS pool spans every CPU, so
-        # rmt-compare runs its trajectories here and imports no pool
+        # rmt-compare and evolve run here and import no pool
         # (scipy.special, which the analytic law loads, imports
         # concurrent.futures itself, but not multiprocessing)
         env = src_env()
@@ -662,30 +666,36 @@ class TestRmtComparePool:
             env.pop(var, None)
         code = (
             "import sys, ktops.cli\n"
-            f"assert ktops.cli.main(['rmt-compare', '--j', '4', '--steps', '3', "
+            "for kind in ('evolve', 'rmt-compare'):\n"
+            f"    assert ktops.cli.main([kind, '--j', '4', '--steps', '3', "
             f"'--out', {str(tmp_path)!r}]) == 0\n"
-            "assert 'multiprocessing' not in sys.modules"
+            "    assert 'multiprocessing' not in sys.modules, kind"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("eps_list, where", [
-        ("1e-3,1e-2", None),
-        ("1e-2,1e200", "parent"),
-        ("1e-2,1e307", "parent"),
-        ("1e-3,1e-2", "worker"),
+    @pytest.mark.parametrize("argv, where", [
+        pytest.param(["rmt-compare", "--eps_list", "1e-3,1e-2"], None, id="1e-3,1e-2-None"),
+        pytest.param(["rmt-compare", "--eps_list", "1e-2,1e200"], "parent",
+                     id="1e-2,1e200-parent"),
+        pytest.param(["rmt-compare", "--eps_list", "1e-2,1e307"], "parent",
+                     id="1e-2,1e307-parent"),
+        pytest.param(["rmt-compare", "--eps_list", "1e-3,1e-2"], "worker", id="1e-3,1e-2-worker"),
+        pytest.param(["evolve", "--phi0=1e308"], "parent", id="evolve-parent"),
+        pytest.param(["evolve"], "worker", id="evolve-worker"),
     ])
-    def test_no_child_outlives_main(self, tmp_path, capsys, monkeypatch, eps_list, where):
+    def test_no_child_outlives_main(self, tmp_path, capsys, monkeypatch, argv, where):
         # a numeric range error in this process or in a worker exits 1 with
         # one line and no file, as in one process; a fork child inherits the
-        # patched linear_entropy, so the worker's error names its own pid
+        # patched kernel, which only the workers call, so the worker's error
+        # names its own pid
         monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 2)
         if where == "worker":
             def overflow(a):
                 raise FloatingPointError(f"in process {os.getpid()}")
-            monkeypatch.setattr(cli, "linear_entropy", overflow)
-        rc = main(["rmt-compare", "--j", "4", "--steps", "3", "--eps_list", eps_list,
-                   "--out", str(tmp_path)])
+            kernel = {"rmt-compare": "linear_entropy", "evolve": "m2_rdm"}[argv[0]]
+            monkeypatch.setattr(cli, kernel, overflow)
+        rc = main(argv + ["--j", "4", "--steps", "3", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert multiprocessing.active_children() == []
         if where is None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktops.cli import RunConfig, _component_tables, run
+from ktops.cli import RunConfig, _component_tables, _observed_rows
 from ktops.entangle import (
     ReducedDensityMatrix,
     entropies,
@@ -132,26 +132,37 @@ class TestSchmidt:
             np.testing.assert_allclose(fast.eigenvalues, full.eigenvalues, rtol=0, atol=1e-13)
             assert abs(fast.clip_magnitude - full.clip_magnitude) < 1e-13
 
-    def test_rdm_checked_once_per_step(self, monkeypatch, tmp_path):
+    def test_rdm_checked_once_per_step(self, monkeypatch):
         # the RDM is checked when reduce() builds it; schmidt and m2_rdm trust
-        # a ReducedDensityMatrix and wrap (so check) only a raw array
+        # a ReducedDensityMatrix and wrap (so check) only a raw array.  evolve
+        # observes its recorded steps in parts, in worker processes when it
+        # has more than one, so the parts are called here: each recorded
+        # step's RDM, identified by its entries, is checked once in all
         checked = []
         real_check = ReducedDensityMatrix.__post_init__
 
         def counting_check(self):
-            checked.append(self.entries.shape)
+            checked.append(self.entries)
             real_check(self)
 
         monkeypatch.setattr(ReducedDensityMatrix, "__post_init__", counting_check)
-        run(RunConfig(kind="evolve", j=4, steps=6, out=str(tmp_path)))
-        steps = np.loadtxt(tmp_path / "evolve_entropy.tsv")[:, 0]
-        assert list(steps) == [1, 2, 3, 4, 5, 6]
-        assert checked == [(9, 9)] * 6
+        spin = SpinQuantum.from_j(4)
+        state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
+        d, phases = coupled_propagator(spin, 6.0, 6.0, 1e-2)
+        rdms = {n: a @ a.conj().T for n, a in trajectory(state0, d, phases, 7)}
+        recorded = [2, 4, 6, 7]
+        for parts in (1, 2):
+            checked.clear()
+            for part in range(parts):
+                _observed_rows(state0, d, phases, recorded, part, parts)
+            steps = [n for entries in checked for n, rho in rdms.items()
+                     if np.array_equal(entries, rho)]
+            assert sorted(steps) == recorded and len(checked) == len(recorded), parts
         rho = reduce(random_state(SpinQuantum(4), 1))
         checked.clear()
         schmidt(rho.entries)
         m2_rdm(rho.entries)
-        assert checked == [(5, 5), (5, 5)]
+        assert [entries.shape for entries in checked] == [(5, 5), (5, 5)]
 
 
 class TestEntropies:

@@ -25,11 +25,11 @@ def traced_layers() -> dict:
     return ast.literal_eval(assign.value)
 
 
-def run_script(script: str, *args) -> subprocess.CompletedProcess:
+def run_script(script: str, *args, preexec_fn=None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(PERFBENCH / script), *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
 
 
 @pytest.mark.parametrize("argv", [
@@ -45,9 +45,14 @@ def test_setup_probe_builds_the_tables(argv):
 
 
 def test_traced_run_spans_every_layer_it_calls(tmp_path):
+    # traced.py keeps its spans in its own process, and evolve observes its
+    # steps in worker processes when the BLAS thread count leaves a CPU free;
+    # on one CPU the run has one worker, so every span is recorded
     spans_path = tmp_path / "spans.json"
+    cpu = min(os.sched_getaffinity(0))
     proc = run_script("traced.py", str(spans_path), "evolve", "--j", "4", "--steps", "3",
-                      "--out", str(tmp_path / "out"))
+                      "--out", str(tmp_path / "out"),
+                      preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     assert proc.returncode == 0, proc.stderr
     names = [span[0] for span in json.loads(spans_path.read_text())]
     layers = {f"{layer}.{fn.lstrip('_')}" for layer, fns in traced_layers().items() for fn in fns}
