@@ -2,7 +2,7 @@
 deterministic delimiter-separated output files, and run manifests that echo
 the resolved parameters as a config file.
 
-Exit status: 0 success, 1 configuration or numeric range error, 2 I/O error.
+Exit status: 0 success, 1 configuration, numeric range or memory error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -281,39 +281,41 @@ def _snapshots(cfg: RunConfig, trajectory_of):
     return ((n, st) for n, st in trajectory_of(cfg, max(snaps)) if n in snaps)
 
 
-def _observed_rows(state0: np.ndarray, d: np.ndarray, phases: np.ndarray, recorded: list,
-                   part: int, parts: int) -> list:
-    """(S_V, S_R, occupancy, gamma) of rho_1 at each step of
-    recorded[part::parts].  The trajectory from state0 is stepped here up to
-    the last of those steps, so that each part can run in its own process."""
-    steps = recorded[part::parts]
-    observed = set(steps)
-    n_dim = len(d)
-    rows = []
-    for n, st in trajectory(state0, d, phases, steps[-1]):
-        if n in observed:
-            rho = reduce(st)
-            s_v, s_r = entropies(schmidt(rho))
-            dn = delta_n_eff(m2_rdm(rho), n_dim)
-            rows.append((s_v, s_r, dn, gamma_factor(s_v, dn, n_dim)))
-    return rows
+def _observed(observe, spin: SpinQuantum, angles: tuple, d: np.ndarray, phases: np.ndarray,
+              steps: typing.Sequence[int]) -> list:
+    """observe(state) at each of the ascending steps of the coupled run (d,
+    phases) from the coherent product at angles, which is built here so that
+    a worker is sent four angles, not a state.  A worker is sent observe by
+    reference, so it must be a module-level function: a local one does not
+    pickle, and the pool's shutdown then hangs (Python 3.11)."""
+    state0 = initial_product_state(spin, *angles)
+    wanted = set(steps)
+    return [observe(st) for n, st in trajectory(state0, d, phases, steps[-1]) if n in wanted]
+
+
+def _entropy_row(state: np.ndarray) -> tuple:
+    """(S_V, S_R, occupancy, gamma) of the state's rho_1."""
+    rho = reduce(state)
+    s_v, s_r = entropies(schmidt(rho))
+    dn = delta_n_eff(m2_rdm(rho), len(state))
+    return (s_v, s_r, dn, gamma_factor(s_v, dn, len(state)))
 
 
 def _evolve(cfg: RunConfig):
     """Coupled run: per recorded step S_V, S_R, occupancy and gamma of rho_1.
     The recorded steps are dealt over _worker_count processes.  Each replays
-    the whole trajectory, since at j = 80 a Floquet step (about 1 ms) costs
-    less than shipping its state to another process (about 2 ms), and
-    observes its share.  Every process takes the same steps from the same
-    state, so the bytes do not depend on the worker count."""
+    the whole trajectory in _observed, since at j = 80 a Floquet step (about
+    1 ms) costs less than shipping its state to another process (about
+    2 ms), and observes its share.  Every process takes the same steps from
+    the same state, so the bytes do not depend on the worker count."""
     recorded = [n for n in range(1, cfg.steps + 1) if cfg.records(n)]
-    state0 = initial_product_state(cfg.spin, *cfg.angles())
     d, phases = coupled_propagator(cfg.spin, *cfg.kick_pair(), cfg.eps)
     parts = _worker_count(len(recorded))
     rows = [None] * len(recorded)
     with _task_map(parts) as task_map:
-        observe = functools.partial(_observed_rows, state0, d, phases, recorded, parts=parts)
-        for part, part_rows in enumerate(task_map(observe, range(parts))):
+        observe = functools.partial(_observed, _entropy_row, cfg.spin, cfg.angles(), d, phases)
+        shares = [recorded[part::parts] for part in range(parts)]
+        for part, part_rows in enumerate(task_map(observe, shares)):
             rows[part::parts] = part_rows
     yield "evolve_entropy.tsv", "# n\tS_V\tS_R\tdelta_n_eff\tgamma", (recorded, rows)
 
@@ -354,17 +356,8 @@ def _deltaneff(cfg: RunConfig):
     yield "deltaneff_single.tsv", "# n\tm2_pure\tdelta_n_eff", (steps, rows)
 
 
-def _sr_series(spin: SpinQuantum, theta: float, phi: float, d: np.ndarray, phases: np.ndarray,
-               steps: int) -> np.ndarray:
-    """S_R after each coupled period 1..steps from the coherent product with
-    both tops at (theta, phi), built here so that no caller holds every
-    initial state at once."""
-    state0 = initial_product_state(spin, theta, phi, theta, phi)
-    return np.array([linear_entropy(a) for n, a in trajectory(state0, d, phases, steps) if n > 0])
-
-
 def _worker_count(n_tasks: int) -> int:
-    """Processes for n_tasks independent parts of a run (rmt-compare's
+    """Processes for n_tasks independent calls of _observed (rmt-compare's
     trajectories, evolve's shares of the recorded steps): one per BLAS thread
     pool that fits the CPUs this process may run on, at most one per task.
     The BLAS thread count is OpenBLAS's own: the first of its variables set
@@ -404,22 +397,23 @@ def _task_map(n_tasks: int):
 def _rmt_compare(cfg: RunConfig):
     """Per eps, the measured S_R averaged over coherent products started with
     both tops at each point of the ic_grid x ic_grid midpoint lattice of
-    SphericalGrid, next to both analytic evaluation routes.  The trajectories
-    run in _worker_count processes, and with more than one the analytic
-    routes are evaluated here meanwhile; each eps sums its lattice in one
-    order, so the bytes do not depend on the worker count.  Every eps is
-    computed before the first table is yielded, so a numeric range error at
-    a later eps leaves no partial output."""
+    SphericalGrid, next to both analytic evaluation routes.  Each trajectory
+    is one call of _observed, in _worker_count processes, and with more than
+    one the analytic routes are evaluated here meanwhile; each eps sums its
+    lattice in one order, so the bytes do not depend on the worker count.
+    Every eps is computed before the first table is yielded, so a numeric
+    range error at a later eps leaves no partial output."""
     spin, g = cfg.spin, cfg.ic_grid
     grid = SphericalGrid.build(spin, g, g)
     n_arr = np.arange(1, cfg.steps + 1)
     eps_list = cfg.epsilons()
     propagators = [coupled_propagator(spin, *cfg.kick_pair(), eps) for eps in eps_list]
     points = [(th, ph) for th in grid.thetas for ph in grid.phis]
-    tasks = [(spin, th, ph, d, phases, cfg.steps) for d, phases in propagators for th, ph in points]
+    tasks = [((th, ph, th, ph), d, phases) for d, phases in propagators for th, ph in points]
+    observe = functools.partial(_observed, linear_entropy, spin, steps=range(1, cfg.steps + 1))
     tables = []
     with _task_map(len(tasks)) as task_map:
-        series = task_map(_sr_series, *zip(*tasks))
+        series = task_map(observe, *zip(*tasks))
         for eps in eps_list:
             laws = [sr_analytic(n_arr, spin, eps, mode) for mode in ("exact-sum", "closed-form")]
             acc = np.zeros(cfg.steps)
@@ -533,6 +527,9 @@ def main(argv=None) -> int:
         manifest = run(cfg)
     except FloatingPointError as exc:
         print(f"numeric range error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -45,6 +45,17 @@ def src_env(**overrides) -> dict:
     return env
 
 
+def overflow(*args):
+    """A kernel stand-in that fails naming its process; module-level, so
+    that a pool sends it to a worker by reference."""
+    raise FloatingPointError(f"in process {os.getpid()}")
+
+
+def exhausted(*args):
+    """As overflow, for an allocation that fails."""
+    raise MemoryError(f"in process {os.getpid()}")
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     # importing scipy.linalg adds 0.10-0.13 s to every CLI start-up, and
     # scipy.special (Si/Ci, needed only by the closed-form S_R law) 0.25 s;
@@ -234,6 +245,18 @@ class TestExitCodes:
         rc = main([*argv, "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--portrait_grid", "1", "--portrait_iters", "100000000000000"],  # 1.42 PiB of orbit
+        ["--portrait_grid", "6000000", "--portrait_iters", "1"],  # a 262 TiB meshgrid
+    ], ids=" ".join)
+    def test_failed_allocation_is_one_line(self, tmp_path, capsys, argv):
+        # each array is past the 128 TiB of a 64-bit user address space, so
+        # it is refused at once, before any of it is touched
+        rc = main(["portrait", *argv, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1 and err.startswith("out of memory")
         assert list(tmp_path.iterdir()) == []
 
     def test_m2_weight_overflow_is_numeric_range_error(self, tmp_path, capsys):
@@ -674,35 +697,35 @@ class TestRmtComparePool:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("argv, where", [
-        pytest.param(["rmt-compare", "--eps_list", "1e-3,1e-2"], None, id="1e-3,1e-2-None"),
-        pytest.param(["rmt-compare", "--eps_list", "1e-2,1e200"], "parent",
+    @pytest.mark.parametrize("argv, where, stand_in", [
+        pytest.param(["rmt-compare", "--eps_list", "1e-3,1e-2"], None, None, id="1e-3,1e-2-None"),
+        pytest.param(["rmt-compare", "--eps_list", "1e-2,1e200"], "parent", None,
                      id="1e-2,1e200-parent"),
-        pytest.param(["rmt-compare", "--eps_list", "1e-2,1e307"], "parent",
+        pytest.param(["rmt-compare", "--eps_list", "1e-2,1e307"], "parent", None,
                      id="1e-2,1e307-parent"),
-        pytest.param(["rmt-compare", "--eps_list", "1e-3,1e-2"], "worker", id="1e-3,1e-2-worker"),
-        pytest.param(["evolve", "--phi0=1e308"], "parent", id="evolve-parent"),
-        pytest.param(["evolve"], "worker", id="evolve-worker"),
+        pytest.param(["rmt-compare", "--eps_list", "1e-3,1e-2"], "worker", overflow,
+                     id="1e-3,1e-2-worker"),
+        pytest.param(["evolve", "--phi0=1e308"], "parent", None, id="evolve-parent"),
+        pytest.param(["evolve"], "worker", overflow, id="evolve-worker"),
+        pytest.param(["evolve"], "worker", exhausted, id="evolve-worker-memory"),
     ])
-    def test_no_child_outlives_main(self, tmp_path, capsys, monkeypatch, argv, where):
-        # a numeric range error in this process or in a worker exits 1 with
-        # one line and no file, as in one process; a fork child inherits the
-        # patched kernel, which only the workers call, so the worker's error
-        # names its own pid
+    def test_no_child_outlives_main(self, tmp_path, capsys, monkeypatch, argv, where, stand_in):
+        # a numeric range error or a failed allocation, in this process or in
+        # a worker, exits 1 with one line and no file, as in one process; a
+        # fork child inherits the patched kernel, which only the workers
+        # call, so the worker's error names its own pid
         monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 2)
         if where == "worker":
-            def overflow(a):
-                raise FloatingPointError(f"in process {os.getpid()}")
             kernel = {"rmt-compare": "linear_entropy", "evolve": "m2_rdm"}[argv[0]]
-            monkeypatch.setattr(cli, kernel, overflow)
+            monkeypatch.setattr(cli, kernel, stand_in)
         rc = main(argv + ["--j", "4", "--steps", "3", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert multiprocessing.active_children() == []
         if where is None:
             assert rc == 0 and len(list(tmp_path.glob("*.tsv"))) == 2
             return
-        assert rc == 1
-        assert err.count("\n") == 1 and err.startswith("numeric range error")
+        assert rc == 1 and err.count("\n") == 1
+        assert err.startswith("out of memory" if stand_in is exhausted else "numeric range error")
         assert list(tmp_path.iterdir()) == []
         if where == "worker":
             assert "in process" in err and f"in process {os.getpid()}" not in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktops.cli import RunConfig, _component_tables, _observed_rows
+from ktops.cli import RunConfig, _component_tables, _entropy_row, _observed
 from ktops.entangle import (
     ReducedDensityMatrix,
     entropies,
@@ -146,15 +146,15 @@ class TestSchmidt:
             real_check(self)
 
         monkeypatch.setattr(ReducedDensityMatrix, "__post_init__", counting_check)
-        spin = SpinQuantum.from_j(4)
-        state0 = initial_product_state(spin, 0.89, 0.63, 0.89, 0.63)
+        spin, angles = SpinQuantum.from_j(4), (0.89, 0.63, 0.89, 0.63)
+        state0 = initial_product_state(spin, *angles)
         d, phases = coupled_propagator(spin, 6.0, 6.0, 1e-2)
         rdms = {n: a @ a.conj().T for n, a in trajectory(state0, d, phases, 7)}
         recorded = [2, 4, 6, 7]
         for parts in (1, 2):
             checked.clear()
             for part in range(parts):
-                _observed_rows(state0, d, phases, recorded, part, parts)
+                _observed(_entropy_row, spin, angles, d, phases, recorded[part::parts])
             steps = [n for entries in checked for n, rho in rdms.items()
                      if np.array_equal(entries, rho)]
             assert sorted(steps) == recorded and len(checked) == len(recorded), parts
