@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ktops import cli
 from ktops.cli import (
@@ -190,7 +192,14 @@ class TestWriteTable:
 
     def test_floats_match_per_value_format(self, tmp_path):
         values = np.array([-0.0, 5e-324, 2.2250738585072014e-308,
-                           1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0])
+                           1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0,
+                           12345678901245.0,  # a tie in the 14th digit, rounded to even
+                           9.9999999999995e5, -9.99999999999997e5,  # round up a decade
+                           9.999999999999347e279,  # log10 rounds up to 280.0
+                           math.nan, math.inf, -math.inf,
+                           # exponents of width 2 and 3, each side of |e| = 280
+                           1.5e99, -1.5e-99, -2.5e100, 2.5e-100,
+                           3.5e280, -3.5e-280, -4.5e281, 4.5e-281])
         table = np.column_stack([values, values[::-1]])
         path = tmp_path / "floats.tsv"
         assert _write_table(path, "# a\tb", table) == len(values)
@@ -202,6 +211,31 @@ class TestWriteTable:
         path = tmp_path / "mixed.tsv"
         assert _write_table(path, "# n\tx\ty", n, x, np.column_stack([x])) == 2
         rows = [(0, 0.1, 0.1), (10**6, -0.0, -0.0)]
+        assert path.read_bytes() == self.joined("# n\tx\ty", rows).encode()
+
+    @settings(max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.one_of(
+        st.integers(0, 2**63 - 1),  # any magnitude
+        st.integers(0x7FF0000000000000, 2**63 - 1),  # inf and NaN payloads
+        st.integers(1, 2**52 - 1),  # subnormals
+        st.integers(0x3000000000000000, 0x5000000000000000),  # |e| up to 77
+    ), st.booleans()), min_size=1, max_size=300))
+    def test_random_bit_doubles_match_per_value_format(self, tmp_path, draws):
+        bits = np.array([b | sign << 63 for b, sign in draws], dtype=np.uint64)
+        values = bits.view(np.float64)
+        path = tmp_path / "bits.tsv"
+        assert _write_table(path, "# x", values) == len(values)
+        assert path.read_bytes() == self.joined("# x", values[:, None].tolist()).encode()
+
+    def test_table_taller_than_the_row_block(self, tmp_path):
+        n_rows = 2 * cli._ROW_BLOCK + 3
+        n = np.arange(n_rows) * 7919
+        rng = np.random.default_rng(5)
+        xy = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-30, 30, (n_rows, 2))
+        path = tmp_path / "tall.tsv"
+        assert _write_table(path, "# n\tx\ty", n, xy) == n_rows
+        rows = [(i, *r) for i, r in zip(n.tolist(), xy.tolist())]
         assert path.read_bytes() == self.joined("# n\tx\ty", rows).encode()
 
     def test_zero_rows_write_the_header_only(self, tmp_path):
