@@ -2,7 +2,8 @@
 deterministic delimiter-separated output files, and run manifests that echo
 the resolved parameters as a config file.
 
-Exit status: 0 success, 1 configuration, numeric range or memory error, 2 I/O error.
+Exit status: 0 success, 1 configuration, numeric range or memory error or a
+worker process that ended abruptly, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from .spincore import SpinQuantum, coherent_amplitudes
 
 class ConfigError(Exception):
     pass
+
+
+class WorkerLost(Exception):
+    """A worker process ended without handing back its result, as one that
+    the kernel kills for memory does."""
 
 
 def _rmt_compare_file(eps: float) -> str:
@@ -131,7 +137,9 @@ class RunConfig:
         return self.snapshots if self.snapshots is not None else (0, self.steps)
 
     def epsilons(self) -> tuple:
-        return self.eps_list
+        """The couplings the run reads: eps_list, eps, or none."""
+        keys = SUBCOMMANDS[self.kind][1]
+        return self.eps_list if "eps_list" in keys else (self.eps,) if "eps" in keys else ()
 
     def records(self, n: int) -> bool:
         """Whether step n is a row of a per-step series: every stride-th
@@ -243,7 +251,7 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
-_ROW_BLOCK = 1 << 15  # rows formatted per write, which bounds the writer's memory
+_BLOCK_VALUES = 1 << 16  # values formatted per write, which bounds the writer's memory
 # correctly rounded 10^k and the byte strings of the %.12e fields, k and e in [-300, 300]
 _POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
@@ -287,7 +295,8 @@ def _write_table(path: Path, header: str, *columns) -> int:
     columns, and return the row count.  A column is 1-d, or 2-d (a list of
     row tuples, say) and contributes each of its columns.  Integer columns
     are written as %d and float columns as %.12e, the same text as str(n)
-    and f"{x:.12e}", in blocks of _ROW_BLOCK rows.
+    and f"{x:.12e}", in blocks of as many rows as _BLOCK_VALUES values hold,
+    one at least.
 
     A float's 13 digits are rint(|x| / 10^e), computed as |x| times a
     correctly rounded 10^(12 - e).  That product carries two roundings, a
@@ -297,13 +306,14 @@ def _write_table(path: Path, header: str, *columns) -> int:
     Python's % instead, as are 0, inf, nan and |e| > 280."""
     blocks = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     n_rows = len(blocks[0])
+    block_rows = max(1, _BLOCK_VALUES // sum(block.shape[1] for block in blocks))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(header.encode())
-        for start in range(0, n_rows, _ROW_BLOCK):
+        for start in range(0, n_rows, block_rows):
             fields = []
             for block in blocks:
-                part = block[start:start + _ROW_BLOCK]
+                part = block[start:start + block_rows]
                 if part.dtype.kind in "iu":
                     fields.extend(np.array([b"\t%d" % v for v in c.tolist()]).view(np.uint8)
                                   .reshape(len(part), -1) for c in part.T)
@@ -439,17 +449,22 @@ def _task_map(n_tasks: int):
     so no pool is made and nothing more imported; else the lazy map of a
     pool of forked processes, which is shut down on exit with its pending
     calls cancelled.  Fork, not spawn: a spawned worker imports numpy again
-    (about 0.2 s), and the scripts/ drivers run at import with no main guard."""
+    (about 0.2 s).  A worker that ends abruptly breaks the pool, whose other
+    workers are then stopped; that is raised as WorkerLost."""
     workers = _worker_count(n_tasks)
     if workers == 1:
         yield map
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield pool.map
+    except BrokenProcessPool as exc:
+        raise WorkerLost("a worker process ended abruptly (killed by a signal, "
+                         "perhaps by the out-of-memory killer)") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -590,6 +605,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
+        return 1
+    except WorkerLost as exc:
+        print(f"worker lost: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
-import ast
+import importlib.util
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,13 @@ from ktops.cli import (
     SUBCOMMANDS,
     ConfigError,
     RunConfig,
-    _keys_read,
+    _build_parser,
     _write_table,
     config_from_mapping,
     config_lines,
     main,
     parse_config_text,
+    resolve_config,
     run,
 )
 from ktops.husimi import husimi_field
@@ -56,6 +58,17 @@ def overflow(*args):
 def exhausted(*args):
     """As overflow, for an allocation that fails."""
     raise MemoryError(f"in process {os.getpid()}")
+
+
+TEST_PID = os.getpid()
+
+
+def killed(*args):
+    """As overflow, for a worker that the kernel kills: it sends itself
+    SIGKILL, but only in a process other than the test's own."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the killing stand-in ran in the test's own process")
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_import_leaves_scipy_linalg_unloaded():
@@ -229,7 +242,7 @@ class TestWriteTable:
         assert path.read_bytes() == self.joined("# x", values[:, None].tolist()).encode()
 
     def test_table_taller_than_the_row_block(self, tmp_path):
-        n_rows = 2 * cli._ROW_BLOCK + 3
+        n_rows = 2 * (cli._BLOCK_VALUES // 3) + 3  # three values a row
         n = np.arange(n_rows) * 7919
         rng = np.random.default_rng(5)
         xy = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-30, 30, (n_rows, 2))
@@ -237,6 +250,16 @@ class TestWriteTable:
         assert _write_table(path, "# n\tx\ty", n, xy) == n_rows
         rows = [(i, *r) for i, r in zip(n.tolist(), xy.tolist())]
         assert path.read_bytes() == self.joined("# n\tx\ty", rows).encode()
+
+    def test_table_wider_than_the_block(self, tmp_path):
+        # each row is more values than one block holds, so a block is one row
+        n = np.array([3, -1, 10**9])
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, cli._BLOCK_VALUES + 5)) * 10.0 ** rng.integers(-30, 30)
+        path = tmp_path / "wide.tsv"
+        assert _write_table(path, "# wide", n, x) == 3
+        rows = [(i, *r) for i, r in zip(n.tolist(), x.tolist())]
+        assert path.read_bytes() == self.joined("# wide", rows).encode()
 
     def test_zero_rows_write_the_header_only(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -530,19 +553,43 @@ def test_subcommand_table_names_the_keys_each_run_reads(tmp_path, monkeypatch):
     assert reads == {kind: set(keys) for kind, (_, keys) in SUBCOMMANDS.items()}
 
 
-def test_scripts_set_only_keys_their_subcommand_reads():
-    # the scripts build RunConfig directly, past config_from_mapping's check
-    scripts = set()
-    for path in sorted((ROOT / "scripts").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RunConfig":
-                values = {kw.arg: kw.value for kw in node.keywords}
-                kind = ast.literal_eval(values.pop("kind"))
-                settings = {key: val.value if isinstance(val, ast.Constant) else val
-                            for key, val in values.items()}
-                assert set(values) <= set(_keys_read(kind, settings)), (path.name, kind)
-                scripts.add(path.name)
-    assert scripts == {path.name for path in (ROOT / "scripts").glob("*.py")}
+def load_figures():
+    spec = importlib.util.spec_from_file_location("figures", ROOT / "scripts" / "figures.py")
+    figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(figures)
+    return figures
+
+
+def test_figure_lines_resolve_and_write_apart():
+    # resolved as main resolves them, without running: the parser offers
+    # only the keys a subcommand reads, and the config checks every value
+    outs = {}
+    for line in {line for lines in load_figures().FIGURES.values() for line in lines}:
+        cfg = resolve_config(_build_parser().parse_args(line.split()))
+        assert outs.setdefault(cfg.out, line) == line, f"{line!r} and {outs[cfg.out]!r}"
+
+
+def test_figures_run_each_distinct_line_once(monkeypatch, capsys):
+    figures = load_figures()
+    runs = []
+    monkeypatch.setattr(cli, "main", lambda argv: runs.append(argv) or 0)
+    assert figures.main(["occupancy", "entropy"]) == 0
+    shared = set(map(tuple, (line.split() for line in figures.FIGURES["entropy"])))
+    assert len(runs) == len(set(map(tuple, runs))) == 4 + len(shared)
+    assert shared < set(map(tuple, runs))
+    runs.clear()
+    assert figures.main([]) == 0
+    assert len(runs) == len({line for lines in figures.FIGURES.values() for line in lines})
+
+
+def test_figures_stop_at_the_first_failed_run(monkeypatch, capsys):
+    figures = load_figures()
+    runs = []
+    monkeypatch.setattr(cli, "main", lambda argv: runs.append(argv) or (2 if len(runs) == 2 else 0))
+    assert figures.main(["portraits"]) == 2 and len(runs) == 2
+    runs.clear()
+    assert figures.main(["portraits", "nope"]) == 1 and runs == []
+    assert "nope" in capsys.readouterr().err
 
 
 class TestRunEvolve:
@@ -742,12 +789,15 @@ class TestRmtComparePool:
         pytest.param(["evolve", "--phi0=1e308"], "parent", None, id="evolve-parent"),
         pytest.param(["evolve"], "worker", overflow, id="evolve-worker"),
         pytest.param(["evolve"], "worker", exhausted, id="evolve-worker-memory"),
+        pytest.param(["evolve"], "worker", killed, id="evolve-worker-killed"),
+        pytest.param(["rmt-compare", "--eps_list", "1e-3,1e-2"], "worker", killed,
+                     id="1e-3,1e-2-worker-killed"),
     ])
     def test_no_child_outlives_main(self, tmp_path, capsys, monkeypatch, argv, where, stand_in):
-        # a numeric range error or a failed allocation, in this process or in
-        # a worker, exits 1 with one line and no file, as in one process; a
-        # fork child inherits the patched kernel, which only the workers
-        # call, so the worker's error names its own pid
+        # a numeric range error, a failed allocation or a killed worker, in
+        # this process or in a worker, exits 1 with one line and no file, as
+        # in one process; a fork child inherits the patched kernel, which
+        # only the workers call, so the worker's error names its own pid
         monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 2)
         if where == "worker":
             kernel = {"rmt-compare": "linear_entropy", "evolve": "m2_rdm"}[argv[0]]
@@ -759,10 +809,21 @@ class TestRmtComparePool:
             assert rc == 0 and len(list(tmp_path.glob("*.tsv"))) == 2
             return
         assert rc == 1 and err.count("\n") == 1
-        assert err.startswith("out of memory" if stand_in is exhausted else "numeric range error")
+        prefix = {exhausted: "out of memory", killed: "worker lost"}.get(stand_in,
+                                                                        "numeric range error")
+        assert err.startswith(prefix)
         assert list(tmp_path.iterdir()) == []
-        if where == "worker":
+        if stand_in in (overflow, exhausted):
             assert "in process" in err and f"in process {os.getpid()}" not in err
+
+
+def test_epsilons_are_the_couplings_the_run_reads():
+    assert RunConfig(kind="evolve", eps=0.5).epsilons() == (0.5,)
+    assert RunConfig(kind="husimi", eps=0.5).epsilons() == (0.5,)
+    assert RunConfig(kind="stats-rdm", eps=0.5).epsilons() == (0.5,)
+    assert RunConfig(kind="rmt-compare", eps=0.5, eps_list=(1e-3, 1e-2)).epsilons() == (1e-3, 1e-2)
+    for kind in ("portrait", "deltaneff", "stats"):
+        assert RunConfig(kind=kind, eps=0.5).epsilons() == ()
 
 
 class TestRunStats:
