@@ -228,27 +228,12 @@ def config_lines(cfg: RunConfig) -> list:
             if settings[key] is not None]
 
 
-@dataclass
-class RunManifest:
-    config: RunConfig
-    duration_seconds: float
-    files: dict  # file name -> data row count
-
-    def to_text(self) -> str:
-        """A config file of the run: its config lines, and the bookkeeping
-        as comments."""
-        lines = ["# run manifest"]
-        lines.extend(config_lines(self.config))
-        lines.append(f"# artifact_version = {__version__}")
-        lines.append(f"# duration_seconds = {self.duration_seconds:.3f}")
-        for name in sorted(self.files):
-            lines.append(f"# output_rows.{name} = {self.files[name]}")
-        return "\n".join(lines) + "\n"
-
-
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _manifest_text(cfg: RunConfig, fields: dict) -> str:
+    """A config file of the run: its config lines, then each bookkeeping
+    field as a comment."""
+    lines = ["# run manifest", *config_lines(cfg)]
+    lines.extend(f"# {key} = {value}" for key, value in fields.items())
+    return "\n".join(lines) + "\n"
 
 
 _BLOCK_VALUES = 1 << 16  # values formatted per write, which bounds the writer's memory
@@ -540,19 +525,21 @@ SUBCOMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> RunManifest:
-    """Write each table the subcommand's experiment yields, then the manifest."""
+def run(cfg: RunConfig) -> dict:
+    """Write each table the subcommand's experiment yields, then the
+    manifest; return each file's data row count by file name."""
     outdir = Path(cfg.out)
     start = time.perf_counter()
     files = {}
     for name, header, columns in SUBCOMMANDS[cfg.kind][0](cfg):
         files[name] = _write_table(outdir / name, header, *columns)
         del columns  # so a husimi field is freed before the next is computed
-    manifest = RunManifest(
-        config=cfg, duration_seconds=time.perf_counter() - start, files=files
-    )
-    _write_text(outdir / f"{cfg.kind.replace('-', '_')}_manifest.txt", manifest.to_text())
-    return manifest
+    fields = {"artifact_version": __version__,
+              "duration_seconds": f"{time.perf_counter() - start:.3f}"}
+    fields.update((f"output_rows.{name}", files[name]) for name in sorted(files))
+    manifest = outdir / f"{cfg.kind.replace('-', '_')}_manifest.txt"
+    manifest.write_text(_manifest_text(cfg, fields), encoding="utf-8")
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +574,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config_from_mapping(args.kind, mapping)
 
 
+# a run's failure -> the prefix of its one stderr line, and the exit status
+_FAILURES = {
+    ConfigError: ("config error", 1),
+    FloatingPointError: ("numeric range error", 1),
+    MemoryError: ("out of memory", 1),
+    WorkerLost: ("worker lost", 1),
+    OSError: ("i/o error", 2),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -595,25 +592,13 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        manifest = run(cfg)
-    except FloatingPointError as exc:
-        print(f"numeric range error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 1
-    except WorkerLost as exc:
-        print(f"worker lost: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    for name in sorted(manifest.files):
-        print(f"wrote {Path(cfg.out) / name} ({manifest.files[name]} rows)")
+        files = run(cfg)
+    except tuple(_FAILURES) as exc:
+        prefix, status = next(_FAILURES[kind] for kind in _FAILURES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return status
+    for name in sorted(files):
+        print(f"wrote {Path(cfg.out) / name} ({files[name]} rows)")
     return 0
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ktops
 from ktops import cli
 from ktops.cli import (
     SUBCOMMANDS,
@@ -173,13 +175,16 @@ ROUND_TRIPS = [
 class TestManifest:
     def test_round_trip(self, tmp_path):
         # the manifest is a config file of kind and exactly the keys the run
-        # reads, and rebuilds the config
+        # reads, and rebuilds the config; its comments then give the version,
+        # the duration to the ms, and the data rows of each file, sorted, as
+        # run returns them
         for i, (kind, values, unset) in enumerate(ROUND_TRIPS):
             default = RunConfig(kind=kind)
             assert all(val != getattr(default, key) for key, val in values.items())
-            cfg = RunConfig(kind=kind, out=str(tmp_path / str(i)), **values)
-            run(cfg)
-            text = (tmp_path / str(i) / f"{kind.replace('-', '_')}_manifest.txt").read_text()
+            out = tmp_path / str(i)
+            cfg = RunConfig(kind=kind, out=str(out), **values)
+            rows = run(cfg)
+            text = (out / f"{kind.replace('-', '_')}_manifest.txt").read_text()
             keys = [line.split(" = ")[0] for line in text.splitlines() if not line.startswith("#")]
             read = [key for key in SUBCOMMANDS[kind][1] if key not in unset]
             assert keys == ["kind", *read]
@@ -187,12 +192,18 @@ class TestManifest:
             cfg2 = config_from_mapping(kind, parse_config_text(text))
             assert cfg2 == cfg
             assert config_lines(cfg2) == config_lines(cfg)
+            lines, n = text.splitlines(), len(keys) + 1
+            assert lines[:n] == ["# run manifest", *config_lines(cfg)]
+            assert lines[n] == f"# artifact_version = {ktops.__version__}"
+            assert re.fullmatch(r"# duration_seconds = \d+\.\d{3}", lines[n + 1])
+            assert sorted(rows) == sorted(path.name for path in out.glob("*.tsv"))
+            assert lines[n + 2:] == [f"# output_rows.{name} = {rows[name]}" for name in sorted(rows)]
 
     def test_manifest_counts_rows(self, tmp_path):
         cfg = RunConfig(kind="deltaneff", j=4, k=6.0, steps=7, out=str(tmp_path))
-        manifest = run(cfg)
+        rows = run(cfg)
         header, data = read_table(tmp_path / "deltaneff_single.tsv")
-        assert len(data) == manifest.files["deltaneff_single.tsv"] == 7
+        assert len(data) == rows["deltaneff_single.tsv"] == 7
 
 
 class TestWriteTable:
@@ -668,7 +679,7 @@ class TestRunHusimi:
         monkeypatch.setattr("ktops.cli._write_table", recorded("write", _write_table))
         cfg = RunConfig(kind="husimi", j=4, steps=3, snapshots=(0, 2, 3), n_theta=3,
                         n_phi=4, out=str(tmp_path))
-        assert sorted(run(cfg).files) == [f"husimi_n0000{n}.tsv" for n in (0, 2, 3)]
+        assert sorted(run(cfg)) == [f"husimi_n0000{n}.tsv" for n in (0, 2, 3)]
         assert calls == ["field", "write"] * 3
 
     def test_initial_snapshot_is_localized_blob(self, tmp_path):
@@ -709,8 +720,7 @@ class TestRunRmtCompare:
             kind="rmt-compare", j=6, eps_list=(1e-3, 1e-2), steps=5, ic_grid=2,
             out=str(tmp_path),
         )
-        manifest = run(cfg)
-        assert set(manifest.files) == {
+        assert set(run(cfg)) == {
             "rmt_compare_eps0.001.tsv", "rmt_compare_eps0.01.tsv"
         }
 

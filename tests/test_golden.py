@@ -1,6 +1,14 @@
 """Golden outputs: every data TSV of the seven subcommands at j = 10 for 20
 steps, byte for byte against the files under tests/golden/.
 
+The bytes are those of one numpy/BLAS build on one CPU, at one BLAS thread
+count: OpenBLAS picks its kernel from the CPU and numpy its SIMD loops, and
+these files are the bytes of the SkylakeX kernel and the X86_V4 loops.  At
+one BLAS thread on a CPU with both, OPENBLAS_CORETYPE=Haswell or Zen fails 4
+of the 7 output cases (evolve, husimi, rmt-compare, stats-rdm), Sandybridge 5
+(those and stats-state), and NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR" fails husimi and rmt-compare.
+
 A pure refactor keeps these files byte-identical; a change to the numerics
 regenerates them and states its largest deviation, which a failing case
 prints per file.  Manifests are not compared, since they carry the run's
