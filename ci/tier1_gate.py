@@ -3,22 +3,19 @@
 
     python ci/tier1_gate.py
 
-runs `python -m pytest -q --continue-on-collection-errors` from the
-repository root, with src/ first on PYTHONPATH and a JUnit XML report, and
-exits 0 only when the failed and errored tests are exactly KNOWN_FAILURES,
-each failing on its stated leg.  Any other failure or collection error
-fails the gate, and so does a known failure that passes, so that the list
-is brought up to date by hand rather than left to hide a new failure.
+runs `pytest -q --continue-on-collection-errors` from the repository root, in
+this process, and exits 0 only when the failed, errored and uncollectable
+tests are exactly KNOWN_FAILURES, each failing on its stated leg.  Any other
+failure, or a pytest status other than 0 or 1, fails the gate, and so does a
+known failure that passes, so that the list is brought up to date by hand
+rather than left to hide a new failure.
 """
 
-from __future__ import annotations
-
 import os
-import subprocess
 import sys
-import tempfile
-import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,48 +30,41 @@ KNOWN_FAILURES = {
 }
 
 
-def node_id(case: ET.Element) -> str:
-    """pytest's id of a JUnit test case: its classname is the dotted module
-    path and test class, or empty for a collection error."""
-    parts, name = case.get("classname", "").split("."), case.get("name", "")
-    for i in range(len(parts), 0, -1):
-        path = "/".join(parts[:i]) + ".py"
-        if (ROOT / path).is_file():
-            return "::".join([path, *parts[i:], name])
-    return "::".join(filter(None, [case.get("classname"), name]))
+class FailedReports:
+    """pytest plugin: test id -> failure text, for every failed report of a
+    test's setup, call or teardown, or of a module's collection."""
+
+    def __init__(self):
+        self.found = {}
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.found[report.nodeid] = self.found.get(report.nodeid, "") + report.longreprtext
+
+    pytest_collectreport = pytest_runtest_logreport
 
 
-def failures(report: Path) -> dict:
-    """Test id -> failure message, for each failed or errored test case."""
-    found = {}
-    for case in ET.parse(report).iter("testcase"):
-        for outcome in ("failure", "error"):
-            element = case.find(outcome)
-            if element is not None:
-                found[node_id(case)] = (element.get("message") or "") + (element.text or "")
-    return found
+def problems(found: dict) -> list:
+    """Why the gate fails, given test id -> failure text; empty when it passes."""
+    out = [f"unexpected failure: {test}" for test in sorted(set(found) - set(KNOWN_FAILURES))]
+    for test, (leg, why) in KNOWN_FAILURES.items():
+        if test not in found:
+            out.append(f"known failure passed, so remove it from KNOWN_FAILURES: {why}")
+        elif leg not in found[test]:
+            out.append(f"{test} failed, but not on its {leg}")
+    return out
 
 
 def main() -> int:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory() as tmp:
-        report = Path(tmp) / "tier1.xml"
-        status = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-             f"--junitxml={report}"], cwd=ROOT, env=env).returncode
-        if status not in (0, 1) or not report.exists():
-            print(f"tier-1 gate: pytest ended with status {status}", file=sys.stderr)
-            return 1
-        found = failures(report)
-    problems = [f"unexpected failure: {test}" for test in sorted(set(found) - set(KNOWN_FAILURES))]
-    for test, (leg, why) in KNOWN_FAILURES.items():
-        if test not in found:
-            problems.append(f"known failure passed, so remove it from KNOWN_FAILURES: {why}")
-        elif leg not in found[test]:
-            problems.append(f"{test} failed, but not on its {leg}")
-    if problems:
-        print("tier-1 gate: FAIL", *problems, sep="\n  ", file=sys.stderr)
+    os.chdir(ROOT)
+    collector = FailedReports()
+    status = pytest.main(["-q", "--continue-on-collection-errors"], plugins=[collector])
+    if status not in (0, 1):
+        print(f"tier-1 gate: pytest ended with status {status}", file=sys.stderr)
+        return 1
+    reasons = problems(collector.found)
+    if reasons:
+        print("tier-1 gate: FAIL", *reasons, sep="\n  ", file=sys.stderr)
         return 1
     print("tier-1 gate: pass; the known failure is", *(why for _, why in KNOWN_FAILURES.values()))
     return 0

@@ -78,7 +78,7 @@ def entropies(spectrum: SchmidtSpectrum) -> Tuple[float, float]:
     """(S_V, S_R) = (-sum lam ln lam, 1 - sum lam^2); 0 ln 0 := 0 by branch."""
     lam = spectrum.eigenvalues
     pos = lam[lam > 0.0]
-    s_v = float(-(pos * np.log(pos)).sum())
+    s_v = float(0.0 - (pos * np.log(pos)).sum())  # +0.0, not -0.0, for a pure spectrum
     s_r = float(1.0 - (lam * lam).sum())
     return s_v, s_r
 

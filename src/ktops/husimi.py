@@ -173,6 +173,8 @@ def husimi_field(
     docstring)."""
     rho = rdm_entries(rdm)
     n = grid.spin.dim
+    if rho.shape[0] != n:
+        raise ValueError(f"rho is {rho.shape[0]} x {rho.shape[0]}, but the grid is for N = {n}")
     r = coherent_amplitude_block(grid.spin, grid.thetas, np.zeros_like(grid.thetas)).real
     d = np.arange(1 - n, n)
     c = np.empty((len(grid.thetas), len(d)), dtype=complex)

@@ -78,8 +78,6 @@ def wigner_d_half_pi(spin: SpinQuantum) -> np.ndarray:
 def coherent_amplitudes(spin: SpinQuantum, theta0: float, phi0: float) -> np.ndarray:
     """Amplitudes <j, m | theta0, phi0> of the directed angular momentum state,
     for theta0 in [0, pi]: one row of coherent_amplitude_block."""
-    if not 0.0 <= theta0 <= math.pi:
-        raise ValueError(f"theta0 must lie in [0, pi], got {theta0}")
     return coherent_amplitude_block(spin, np.array([theta0]), np.array([phi0]))[0]
 
 
@@ -91,11 +89,15 @@ def coherent_amplitude_block(
     Component at m is (1 + |g|^2)^(-j) g^(j-m) sqrt(C(2j, j+m)) with
     g = exp(i phi) tan(theta / 2), evaluated in log space; rows come out unit
     norm.  The poles are snapped from the angle to a basis vector: theta = 0
-    (or too small to halve) to m = +j, theta = pi to m = -j.  A phi so large
-    that a phase phi (j - m) is not finite raises FloatingPointError.
+    (or too small to halve) to m = +j, theta = pi to m = -j.  A theta outside
+    [0, pi], or NaN, raises ValueError; a phi so large that a phase
+    phi (j - m) is not finite raises FloatingPointError.
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
+    in_range = (thetas >= 0.0) & (thetas <= math.pi)  # False for NaN
+    if not in_range.all():
+        raise ValueError(f"theta must lie in [0, pi], got {thetas[~in_range][0]}")
     j = spin.j
     m = spin.m_values()
     ln_c = ln_binomials(spin.two_j)

@@ -176,8 +176,9 @@ class TestEntropies:
     def test_rank_one(self):
         v = np.zeros(5, dtype=complex)
         v[2] = 1.0
-        s_v, s_r = entropies(schmidt(np.outer(v, v.conj())))
+        s_v, s_r = entropies(schmidt(np.outer(v, v.conj())))  # eigenvalues 1, 0, 0, 0, 0
         assert s_v == 0.0 and s_r == 0.0
+        assert math.copysign(1.0, s_v) == 1.0  # +0.0: no -0.0 in a TSV
 
     def test_rmt_saturated_levels(self):
         # random bipartite pure states realize the saturation statistics

@@ -446,6 +446,12 @@ class TestHusimiField:
         with pytest.raises(ValueError, match="Hermitian"):
             husimi_field(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex), grid)
 
+    @pytest.mark.parametrize("two_j", [2, 6])
+    def test_rejects_grid_of_another_spin(self, two_j):
+        grid = SphericalGrid.build(SpinQuantum(two_j), 7, 13)
+        with pytest.raises(ValueError, match=rf"rho is 5 x 5, but the grid is for N = {two_j + 1}"):
+            husimi_field(np.eye(5, dtype=complex) / 5, grid)
+
     def test_coherent_self_overlap_is_one(self):
         spin = SpinQuantum(40)
         v = coherent_amplitudes(spin, 0.89, 0.63)

@@ -176,10 +176,11 @@ class TestCoherentAmplitudes:
         np.testing.assert_allclose(v, [r, r], atol=1e-12)
 
     def test_angle_validation(self):
-        with pytest.raises(ValueError):
-            coherent_amplitudes(SpinQuantum(2), -0.1, 0.0)
-        with pytest.raises(ValueError):
-            coherent_amplitudes(SpinQuantum(2), math.pi + 0.1, 0.0)
+        for theta in (-0.1, math.pi + 0.1, math.nan):
+            with pytest.raises(ValueError, match=r"\[0, pi\]"):
+                coherent_amplitudes(SpinQuantum(2), theta, 0.0)
+            with pytest.raises(ValueError, match=r"\[0, pi\]"):
+                coherent_amplitude_block(SpinQuantum(4), np.array([0.5, theta]), np.array([0.2, 0.2]))
 
     @settings(max_examples=250, deadline=None)
     @given(
