@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import math
 import os
@@ -434,8 +435,13 @@ def _task_map(n_tasks: int):
     so no pool is made and nothing more imported; else the lazy map of a
     pool of forked processes, which is shut down on exit with its pending
     calls cancelled.  Fork, not spawn: a spawned worker imports numpy again
-    (about 0.2 s).  A worker that ends abruptly breaks the pool, whose other
-    workers are then stopped; that is raised as WorkerLost."""
+    (about 0.2 s).  The pool's map sends the calls in one chunk per worker,
+    each chunk one pickle, whose memo sends an array that several calls
+    share once per chunk: 48 rmt-compare calls at j = 80 over three eps,
+    each with its eps's 622 KB propagator pair, pickle 2.5 MB, not 30 MB.
+    The results still come back in call order.  A worker that ends abruptly
+    breaks the pool, whose other workers are then stopped; that is raised
+    as WorkerLost."""
     workers = _worker_count(n_tasks)
     if workers == 1:
         yield map
@@ -446,7 +452,7 @@ def _task_map(n_tasks: int):
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        yield pool.map
+        yield functools.partial(pool.map, chunksize=-(-n_tasks // workers))
     except BrokenProcessPool as exc:
         raise WorkerLost("a worker process ended abruptly (killed by a signal, "
                          "perhaps by the out-of-memory killer)") from exc
@@ -458,9 +464,12 @@ def _rmt_compare(cfg: RunConfig):
     """Per eps, the measured S_R averaged over coherent products started with
     both tops at each point of the ic_grid x ic_grid midpoint lattice of
     SphericalGrid, next to both analytic evaluation routes.  Each trajectory
-    is one call of _observed, in _worker_count processes, and with more than
-    one the analytic routes are evaluated here meanwhile; each eps sums its
-    lattice in one order, so the bytes do not depend on the worker count.
+    is one call of _observed, which takes linear_entropy at every step (its
+    cost is that of a step's matrix products), in _worker_count processes;
+    with more than one, the calls go out in one chunk per worker, so each
+    eps's propagator pair is pickled once per chunk, and the analytic routes
+    are evaluated here meanwhile.  Each eps sums its lattice in one order,
+    so the bytes do not depend on the worker count.
     Every eps is computed before the first table is yielded, so a numeric
     range error at a later eps leaves no partial output."""
     spin, g = cfg.spin, cfg.ic_grid
@@ -584,7 +593,24 @@ _FAILURES = {
 }
 
 
+_M_TOP_PAD = -2  # glibc's mallopt parameter: the bytes kept free at the top of the heap
+
+
+def _pad_heap():
+    """Keep 16 MiB free at the top of glibc's heap, so that the arrays a
+    step frees stay mapped for the next step instead of being trimmed off
+    and faulted back in (about a tenth of a j = 80 rmt-compare step).  main
+    calls this, as the process is the CLI's own; forked workers inherit it.
+    A libc without mallopt is left as it is."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TOP_PAD, 16 << 20)
+
+
 def main(argv=None) -> int:
+    _pad_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -85,10 +85,21 @@ def entropies(spectrum: SchmidtSpectrum) -> Tuple[float, float]:
 
 def linear_entropy(a: np.ndarray) -> float:
     """S_R = 1 - Tr rho_1^2 = 1 - ||a a^dagger||_F^2 of the N x N joint
-    amplitudes a, with no spectrum; rho_1 is formed as in reduce() but not
-    checked."""
-    rho = a @ a.conj().T
-    return 1.0 - float((np.abs(rho) ** 2).sum())
+    amplitudes a, with no spectrum and without forming the complex rho_1.
+    With X = a.view(float), N x 2N, and M = Im a Re a^T, rho_1 has the real
+    part X X^T (a symmetric product, which numpy runs as one syrk) and the
+    imaginary part M - M^T, so
+
+        ||rho_1||^2 = ||X X^T||^2 + 2 ||M||^2 - 2 <M, M^T>.
+
+    a is first copied to a C-contiguous complex array when it is not one (a
+    transposed state, say), so that its float view interleaves Re and Im."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    x = a.view(float)
+    re_rho = x @ x.T
+    m = a.imag @ a.real.T
+    purity = (re_rho * re_rho).sum() + 2.0 * ((m * m).sum() - (m * m.T).sum())
+    return 1.0 - float(purity)
 
 
 def ks_exponential(values: np.ndarray) -> float:

@@ -47,12 +47,47 @@ def predictions(n: int) -> RmtPrediction:
 
 
 def _sici(x: float) -> tuple[float, float]:
-    """(Si(x), Ci(x)) for x >= 0.  scipy.special is imported on the first call,
-    so only the closed forms pay for it."""
-    from scipy.special import sici
+    """(Si(x), Ci(x)) for x >= 0 in math alone (Abramowitz & Stegun 5.1-5.2),
+    with scipy.special.sici's values at the ends: (0, -inf) at x = 0 and
+    (pi/2, 0) at x = inf.
 
-    si, ci = sici(x)
-    return float(si), float(ci)
+    Below x = 4 it sums the power series sum_k (ix)^k / (k k!), which is
+    Ci(x) - gamma - ln x + i Si(x).  From 4 it takes the continued fraction
+    of E1(ix) = -Ci(x) + i (Si(x) - pi/2), evaluated by the modified Lentz
+    method as in Numerical Recipes' cisi; it converges within 50 terms.
+    Past 1e15 the first terms of the asymptotic auxiliary functions, f = 1/x
+    and g = 1/x^2, are exact to double precision.  A switch at 2 instead of
+    4 had 2.5 times the worst Si and 3 times the worst Ci error against
+    mpmath; see TestSiCi for the bounds."""
+    if x == 0.0:
+        return 0.0, -math.inf
+    if x == math.inf:
+        return 0.5 * math.pi, 0.0
+    if x < 4.0:
+        s, term, k = 0j, 1 + 0j, 0
+        while True:
+            k += 1
+            term *= 1j * x / k
+            s += term / k
+            if abs(term) <= 2.0**-56 * k * abs(s):  # <=, so that an underflow ends it
+                return s.imag, EULER_GAMMA + math.log(x) + s.real
+    cos, sin = math.cos(x), math.sin(x)
+    if x > 1e15:
+        f, g = 1.0 / x, 1.0 / (x * x)
+        return 0.5 * math.pi - f * cos - g * sin, f * sin - g * cos
+    b = complex(1.0, x)
+    c, d = complex(1e300), 1.0 / b
+    h = d
+    for i in range(1, 100):
+        b += 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 2.0**-53:
+            break
+    h *= complex(cos, -sin)
+    return 0.5 * math.pi + h.imag, -h.real
 
 
 def _cos_defect(x: np.ndarray, w: np.ndarray, a: float) -> float:

@@ -74,16 +74,82 @@ def killed(*args):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # importing scipy.linalg adds 0.10-0.13 s to every CLI start-up, and
-    # scipy.special (Si/Ci, needed only by the closed-form S_R law) 0.25 s;
-    # the process pool's modules are imported by a pooled rmt-compare alone
+    # ktops imports no scipy module (scipy.linalg alone would add 0.10-0.13 s
+    # to every CLI start-up; Si and Ci are computed in rmt with math alone);
+    # the process pool's modules are imported by a pooled run alone
     code = (
         "import sys, ktops.cli\n"
-        "for name in ('scipy.linalg', 'scipy.special', 'multiprocessing', "
-        "'concurrent.futures'):\n"
+        "for name in ('scipy', 'multiprocessing', 'concurrent.futures'):\n"
         "    assert name not in sys.modules, name"
     )
     subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+
+@pytest.mark.parametrize("threads", ["1", None], ids=["pooled", "in-process"])
+def test_rmt_compare_runs_without_scipy(tmp_path, threads):
+    # scipy is no dependency: with every scipy import failing, rmt-compare
+    # runs pooled (1 BLAS thread, so 2 workers on 2 CPUs) and in one
+    # process, and writes each table and its manifest
+    env = src_env()
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ktops.cli import main\n"
+        "sys.exit(main(['rmt-compare', '--j', '6', '--steps', '5', '--ic_grid', '2', "
+        f"'--eps_list', '1e-3,1e-2', '--out', {str(tmp_path)!r}]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "rmt_compare_eps0.001.tsv", "rmt_compare_eps0.01.tsv", "rmt_compare_manifest.txt"]
+    for name in ("rmt_compare_eps0.001.tsv", "rmt_compare_eps0.01.tsv"):
+        assert read_table(tmp_path / name)[1].shape == (5, 4)
+
+
+# a child that replaces ctypes.CDLL, before ktops is imported, by a library
+# whose mallopt records each call and then makes it, or that has no mallopt
+HEAP_PAD_SPY = """
+import ctypes, sys
+calls = []
+class Spy(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name != "mallopt":
+            return super().__getattr__(name)
+        if sys.argv[1] == "without":
+            raise AttributeError(name)
+        real = super().__getattr__(name)
+        def mallopt(param, value):
+            calls.append((param, value))
+            return real(param, value)
+        return mallopt
+ctypes.CDLL = Spy
+import ktops, ktops.cli
+assert calls == [], calls
+assert ktops.cli.main(sys.argv[2:]) == 0
+print(calls)
+"""
+
+
+def test_main_pads_the_heap_once(tmp_path):
+    # a library import changes no process setting; main sets glibc's
+    # M_TOP_PAD (-2) to 16 MiB once, and without mallopt it runs as before
+    for argv in (["rmt-compare", "--j", "10", "--steps", "20", "--eps_list", "1e-3,1e-2"],
+                 ["evolve", "--j", "10", "--steps", "20"]):
+        tables = {}
+        for libc in ("with", "without"):
+            out = tmp_path / argv[0] / libc
+            proc = subprocess.run(
+                [sys.executable, "-c", HEAP_PAD_SPY, libc, *argv, "--out", str(out)],
+                env=src_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == {"with": "[(-2, 16777216)]",
+                                                    "without": "[]"}[libc]
+            tables[libc] = {path.name: path.read_bytes() for path in out.glob("*.tsv")}
+        assert tables["with"] and tables["with"] == tables["without"], argv[0]
 
 
 def test_evolve_bytes_repeat_at_one_blas_thread_count(tmp_path):
@@ -772,9 +838,8 @@ class TestRmtComparePool:
 
     def test_default_environment_runs_in_process(self, tmp_path):
         # with no BLAS thread variable each BLAS pool spans every CPU, so
-        # rmt-compare and evolve run here and import no pool
-        # (scipy.special, which the analytic law loads, imports
-        # concurrent.futures itself, but not multiprocessing)
+        # rmt-compare and evolve run here and import no pool, nor, since
+        # they import no scipy module, concurrent.futures
         env = src_env()
         for var in BLAS_THREAD_VARS:
             env.pop(var, None)
@@ -783,7 +848,8 @@ class TestRmtComparePool:
             "for kind in ('evolve', 'rmt-compare'):\n"
             f"    assert ktops.cli.main([kind, '--j', '4', '--steps', '3', "
             f"'--out', {str(tmp_path)!r}]) == 0\n"
-            "    assert 'multiprocessing' not in sys.modules, kind"
+            "    for name in ('multiprocessing', 'concurrent.futures'):\n"
+            "        assert name not in sys.modules, (kind, name)"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

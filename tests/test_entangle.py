@@ -203,10 +203,24 @@ class TestEntropies:
         assert s_r <= s_v + 1e-12
 
     def test_direct_linear_entropy_matches_spectrum(self):
+        # linear_entropy works on the float view of a contiguous copy, so a
+        # transposed state and a strided slice are inputs of their own
+        product = initial_product_state(SpinQuantum(40), 0.89, 0.63, 2.0, 1.0)
         state = random_state(SpinQuantum(40), 9)
-        _, s_r = entropies(schmidt(reduce(state)))
-        assert linear_entropy(state) == pytest.approx(s_r, abs=1e-12)
-        assert linear_entropy(state.T) == pytest.approx(s_r, abs=1e-12)
+        buffer = np.zeros((2 * len(state), 3 * len(state)), dtype=complex)
+        buffer[::2, ::3] = state
+        cases = {"j = 0": random_state(SpinQuantum(0), 1),
+                 "j = 1/2": random_state(SpinQuantum(1), 2),
+                 "product": product,
+                 "j = 20": state,
+                 "transposed": state.T,
+                 "strided slice": buffer[::2, ::3],
+                 "j = 160": random_state(SpinQuantum(320), 3)}
+        for name, a in cases.items():
+            _, s_r = entropies(schmidt(reduce(a)))
+            assert linear_entropy(a) == pytest.approx(s_r, abs=1e-12), name
+        assert not cases["strided slice"].flags.c_contiguous
+        assert abs(linear_entropy(product)) <= 1e-15
 
 
 class TestSubsystemSymmetry:

@@ -90,11 +90,25 @@ class TestSiCi:
         # series gamma + ln x + sum (-1)^k x^(2k) / (2k (2k)!) at x = 1
         assert _sici(1.0)[1] == pytest.approx(0.3374039, abs=1e-7)
 
-    @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 1.0, math.pi, 12.0, 250.0, 1e4])
+    def test_ends_as_scipy(self):
+        assert _sici(0.0) == (0.0, -math.inf)
+        assert _sici(math.inf) == (math.pi / 2, 0.0)
+
+    # x log-spaced over 25 decades, 500 points across the switch at 4 and
+    # Ci's zeros at 0.6165 and 3.3840, and the earlier spot checks.  The
+    # worst relative errors measured here: Si 4.9e-16 (scipy.special.sici
+    # 3.7e-16), and Ci 1.2e-13 (scipy 1.3e-13) at the grid point 3.376,
+    # 0.008 from a zero of Ci, where |Ci| is 2.4e-3 and an absolute error of
+    # 2.8e-16 is that large relative to it.
+    @pytest.mark.parametrize("x", sorted(
+        set(np.logspace(-10, 15, 501).tolist()) | set(np.linspace(0.5, 5.5, 500).tolist())
+        | {1e-8, 1e-3, 0.5, 1.0, math.pi, 12.0, 250.0, 1e4}))
     def test_against_mpmath(self, x):
         si, ci = _sici(x)
-        assert abs(si - float(mpmath.si(x))) < 1e-10
-        assert abs(ci - float(mpmath.ci(x))) < 1e-10
+        with mpmath.workdps(40):
+            want_si, want_ci = float(mpmath.si(x)), float(mpmath.ci(x))
+        assert abs(si - want_si) <= 1e-15 * abs(want_si)
+        assert abs(ci - want_ci) <= 3e-13 * abs(want_ci)
 
 
 class TestPEpsilon:
