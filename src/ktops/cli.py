@@ -262,6 +262,9 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
     carry = m == 10**13
     m[carry] = 10**12
     e += carry
+    zero = x == 0.0  # scaled as 1.0 above, so e = 0: the digits are those of 0
+    m *= ~zero
+    ok |= zero
     out = np.empty((len(x), 24), np.uint8)
     lead, q = np.divmod(m, 10**12)
     out.view(np.uint32)[:, 0] = _HEADS[10 * np.signbit(x) + lead]  # tab, sign, digit, point
@@ -289,7 +292,8 @@ def _write_table(path: Path, header: str, *columns) -> int:
     relative error of at most 2^-52, so below 1e13 it is off by less than
     0.0023 and the rounding is exact unless the scaled fraction lies within
     0.005 of 1/2.  Such a value, a 14th-digit tie among them, is formatted by
-    Python's % instead, as are 0, inf, nan and |e| > 280."""
+    Python's % instead, as are inf, nan and |e| > 280; a signed zero is
+    digits 0 and e = 0."""
     blocks = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     n_rows = len(blocks[0])
     block_rows = max(1, _BLOCK_VALUES // sum(block.shape[1] for block in blocks))

@@ -5,6 +5,9 @@ A coherent state at (theta, phi) has amplitudes r_m(theta) e^{i phi (j-m)}
 with r real, so on the product grid the Husimi function is a Fourier sum in
 phi: Q(theta, phi) = sum_d c_d(theta) e^{-i d phi}, where
 c_d(theta) = sum_m r_m r_{m+d} rho[m, m+d] weights the d-th diagonal of rho.
+rho is Hermitian and r real, so c_{-d} = conj(c_d), and the sum is its
+Hermitian half in real arithmetic:
+Q = c_0 + 2 sum_{d>=1} (Re c_d cos d phi + Im c_d sin d phi).
 
 The analytic second moment rests on the four-index weight
 
@@ -169,18 +172,31 @@ def gamma_factor(s_v: float, delta_n_eff_value: float, n: int) -> float:
 def husimi_field(
     rdm: Union[ReducedDensityMatrix, np.ndarray], grid: SphericalGrid
 ) -> HusimiField:
-    """<z|rho|z> over the grid as a Fourier sum in phi (see the module
-    docstring)."""
+    """<z|rho|z> over the grid as the Hermitian half of the module
+    docstring's Fourier sum, in real arithmetic.  For d = 0..N-1,
+    (Re c_d, Im c_d) over theta is one real product: the real and imaginary
+    parts of rho's d-th diagonal, a 2 x (N-d) matrix, times the amplitude
+    products r_m r_{m+d}.  One real matrix product of these coefficients
+    with the rows 1, 2 cos d phi and 2 sin d phi then gives Q on the whole
+    grid."""
     rho = rdm_entries(rdm)
     n = grid.spin.dim
     if rho.shape[0] != n:
         raise ValueError(f"rho is {rho.shape[0]} x {rho.shape[0]}, but the grid is for N = {n}")
-    r = coherent_amplitude_block(grid.spin, grid.thetas, np.zeros_like(grid.thetas)).real
-    d = np.arange(1 - n, n)
-    c = np.empty((len(grid.thetas), len(d)), dtype=complex)
-    for col, dk in enumerate(d):
-        lo, hi = max(0, -dk), min(n, n - dk)
-        c[:, col] = (r[:, lo:hi] * r[:, lo + dk : hi + dk]) @ np.diagonal(rho, dk)
-    values = (c @ np.exp(-1j * np.outer(d, grid.phis))).real
+    # planes[m, k] = (Re, Im) of rho[m, k]; r[m, i] = r_m(thetas[i])
+    planes = np.ascontiguousarray(rho, dtype=complex).view(float).reshape(n, n, 2)
+    r = coherent_amplitude_block(grid.spin, grid.thetas, np.zeros_like(grid.thetas)).real.T.copy()
+    coef = np.empty((2 * n - 1, len(grid.thetas)))  # rows c_0, Re c_1.., Im c_1..
+    for d in range(n):
+        c = np.diagonal(planes, d) @ (r[: n - d] * r[d:])
+        coef[d] = c[0]
+        if d:
+            coef[n - 1 + d] = c[1]
+    angles = np.outer(np.arange(1, n), grid.phis)
+    harmonics = np.ones((2 * n - 1, len(grid.phis)))  # filled in place: less peak memory
+    np.cos(angles, out=harmonics[1:n])
+    np.sin(angles, out=harmonics[n:])
+    harmonics[1:] *= 2.0
+    values = coef.T @ harmonics
     clip = float(max(0.0, -values.min()))
-    return HusimiField(values=np.maximum(values, 0.0), clip_magnitude=clip)
+    return HusimiField(values=np.maximum(values, 0.0, out=values), clip_magnitude=clip)

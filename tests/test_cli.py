@@ -281,7 +281,7 @@ class TestWriteTable:
         return "\n".join(lines) + "\n"
 
     def test_floats_match_per_value_format(self, tmp_path):
-        values = np.array([-0.0, 5e-324, 2.2250738585072014e-308,
+        values = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308,
                            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0,
                            12345678901245.0,  # a tie in the 14th digit, rounded to even
                            9.9999999999995e5, -9.99999999999997e5,  # round up a decade
@@ -337,6 +337,18 @@ class TestWriteTable:
         assert _write_table(path, "# wide", n, x) == 3
         rows = [(i, *r) for i, r in zip(n.tolist(), x.tolist())]
         assert path.read_bytes() == self.joined("# wide", rows).encode()
+
+    def test_signed_zeros_among_values_wider_than_the_block(self, tmp_path):
+        # mostly +0.0 and -0.0, as in a Husimi field clipped at zero, with
+        # ordinary values between them; each row is more values than one block holds
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, cli._BLOCK_VALUES + 5)) * 10.0 ** rng.integers(-30, 30)
+        x[rng.random(x.shape) < 0.8] = 0.0
+        x[rng.random(x.shape) < 0.4] *= -1.0
+        path = tmp_path / "zeros.tsv"
+        assert _write_table(path, "# zeros", x) == 3
+        assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()
+        assert path.read_bytes() == self.joined("# zeros", x.tolist()).encode()
 
     def test_zero_rows_write_the_header_only(self, tmp_path):
         path = tmp_path / "empty.tsv"

@@ -415,21 +415,29 @@ class TestSphericalGrid:
 
 
 def husimi_operands(spin: SpinQuantum, seed: int) -> dict:
-    """A pure amplitude vector, a raw mixed RDM and a ReducedDensityMatrix."""
+    """A pure amplitude vector, a raw mixed RDM, a ReducedDensityMatrix, and
+    a raw RDM whose off-diagonals are purely imaginary: (1 + 0.9i S) / N
+    with S real antisymmetric of spectral norm at most 1, so positive
+    definite."""
     n = spin.dim
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
+    skew = a.real - a.real.T
+    skew /= max(np.linalg.norm(skew, 2), 1.0)
     return {
         "vector": random_vector(n, seed),
         "raw": rho,
         "wrapped": reduce(a / np.linalg.norm(a)),
+        "imaginary": (np.eye(n) + 0.9j * skew) / n,
     }
 
 
 class TestHusimiField:
-    @pytest.mark.parametrize("shape", [(7, 13), (30, 60)])
+    # 1 x 1 and 1 x 2 are degenerate grids; 40 x 3 has n_phi < 2N - 1 from
+    # 2j = 2 on, fewer phi nodes than Fourier harmonics
+    @pytest.mark.parametrize("shape", [(7, 13), (30, 60), (1, 1), (1, 2), (40, 3)])
     @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 10, 40, 160])
     def test_matches_per_node_oracle(self, two_j, shape):
         spin = SpinQuantum(two_j)
