@@ -8,12 +8,14 @@ this process, and exits 0 only when the failed, errored and uncollectable
 tests are exactly KNOWN_FAILURES, each failing on its stated leg.  Any other
 failure, or a pytest status other than 0 or 1, fails the gate, and so does a
 known failure that passes, so that the list is brought up to date by hand
-rather than left to hide a new failure.
+rather than left to hide a new failure.  The verdict line gives the suite's
+wall time, so that every CI log records it.
 """
 
 import os
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -58,15 +60,18 @@ def problems(found: dict) -> list:
 def main() -> int:
     os.chdir(ROOT)
     collector = FailedReports()
+    start = perf_counter()
     status = pytest.main(["-q", "--continue-on-collection-errors"], plugins=[collector])
+    seconds = f"{perf_counter() - start:.1f} s"
     if status not in (0, 1):
         print(f"tier-1 gate: pytest ended with status {status}", file=sys.stderr)
         return 1
     reasons = problems(collector.found)
     if reasons:
-        print("tier-1 gate: FAIL", *reasons, sep="\n  ", file=sys.stderr)
+        print(f"tier-1 gate: FAIL in {seconds}", *reasons, sep="\n  ", file=sys.stderr)
         return 1
-    print("tier-1 gate: pass; the known failure is", *(why for _, why in KNOWN_FAILURES.values()))
+    print(f"tier-1 gate: pass in {seconds}; the known failure is",
+          *(why for _, why in KNOWN_FAILURES.values()))
     return 0
 
 

@@ -394,8 +394,10 @@ def _portrait(cfg: RunConfig):
 
 
 def _husimi(cfg: RunConfig):
-    """The Husimi field of rho_1 at each snapshot step.  Each field is
-    yielded, so written, before the next is computed: one sets peak RSS."""
+    """The Husimi field of rho_1 at each snapshot step, all on one grid,
+    which builds its tables at the first field and keeps them.  Each field
+    is yielded, so written, before the next is computed: one field and the
+    grid's tables set peak RSS."""
     grid = SphericalGrid.build(cfg.spin, cfg.n_theta, cfg.n_phi)
     for n, st in _snapshots(cfg, _coupled_trajectory):
         header = (
@@ -515,10 +517,17 @@ def _stats(cfg: RunConfig):
 
 
 def _stats_rdm(cfg: RunConfig):
-    """Components of every eigenvector of the coupled run's rho_1 at each
-    snapshot step."""
-    yield from _component_tables(cfg, [schmidt(reduce(st), vectors=True).eigenvectors.T.ravel()
-                                       for _, st in _snapshots(cfg, _coupled_trajectory)])
+    """Components of the eigenvectors that span the coupled run's rho_1 at
+    each snapshot step: those of eigenvalues above N 2^-52 lambda_max, the
+    rule of numpy's matrix_rank, so that no null-space basis, which the BLAS
+    kernel would pick, is pooled."""
+    pool = []
+    for _, st in _snapshots(cfg, _coupled_trajectory):
+        spectrum = schmidt(reduce(st), vectors=True)
+        lam = spectrum.eigenvalues  # descending
+        support = lam > cfg.spin.dim * np.finfo(float).eps * lam[0]
+        pool.append(spectrum.eigenvectors[:, support].T.ravel())
+    yield from _component_tables(cfg, pool)
 
 
 # the keys of a coupled run: two kicks, the coupling, the initial product

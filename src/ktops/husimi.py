@@ -8,6 +8,9 @@ c_d(theta) = sum_m r_m r_{m+d} rho[m, m+d] weights the d-th diagonal of rho.
 rho is Hermitian and r real, so c_{-d} = conj(c_d), and the sum is its
 Hermitian half in real arithmetic:
 Q = c_0 + 2 sum_{d>=1} (Re c_d cos d phi + Im c_d sin d phi).
+Only the diagonals of rho change from field to field: the amplitudes r and
+the harmonics 1, 2 cos d phi, 2 sin d phi are tables of the SphericalGrid,
+built at its first field and kept.
 
 The analytic second moment rests on the four-index weight
 
@@ -40,7 +43,9 @@ from .spincore import SpinQuantum, coherent_amplitude_block
 @dataclass(frozen=True)
 class SphericalGrid:
     """Midpoint (theta, phi) lattice.  Midpoints never touch the poles, so
-    coherent amplitudes need no special casing during field evaluation."""
+    coherent amplitudes need no special casing during field evaluation.
+    Its two tables are built on first use and kept read-only, so the fields
+    on one grid share them and a grid with no field never builds them."""
 
     spin: SpinQuantum
     thetas: np.ndarray
@@ -53,6 +58,26 @@ class SphericalGrid:
         thetas = (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
         phis = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
         return cls(spin, thetas, phis)
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """r[m, i] = r_m(thetas[i]), the real coherent amplitudes, N x n_theta."""
+        r = coherent_amplitude_block(self.spin, self.thetas, np.zeros_like(self.thetas)).real.T.copy()
+        r.flags.writeable = False
+        return r
+
+    @functools.cached_property
+    def harmonics(self) -> np.ndarray:
+        """The rows 1, 2 cos d phi for d = 1..N-1, then 2 sin d phi for
+        d = 1..N-1, over phis: (2N-1) x n_phi."""
+        n = self.spin.dim
+        angles = np.outer(np.arange(1, n), self.phis)
+        h = np.ones((2 * n - 1, len(self.phis)))  # filled in place: less peak memory
+        np.cos(angles, out=h[1:n])
+        np.sin(angles, out=h[n:])
+        h[1:] *= 2.0
+        h.flags.writeable = False
+        return h
 
 
 @dataclass(frozen=True)
@@ -176,27 +201,21 @@ def husimi_field(
     docstring's Fourier sum, in real arithmetic.  For d = 0..N-1,
     (Re c_d, Im c_d) over theta is one real product: the real and imaginary
     parts of rho's d-th diagonal, a 2 x (N-d) matrix, times the amplitude
-    products r_m r_{m+d}.  One real matrix product of these coefficients
-    with the rows 1, 2 cos d phi and 2 sin d phi then gives Q on the whole
-    grid."""
+    products r_m r_{m+d} of grid.amplitudes.  One real matrix product of
+    these coefficients with grid.harmonics then gives Q on the whole grid."""
     rho = rdm_entries(rdm)
     n = grid.spin.dim
     if rho.shape[0] != n:
         raise ValueError(f"rho is {rho.shape[0]} x {rho.shape[0]}, but the grid is for N = {n}")
-    # planes[m, k] = (Re, Im) of rho[m, k]; r[m, i] = r_m(thetas[i])
+    # planes[m, k] = (Re, Im) of rho[m, k]
     planes = np.ascontiguousarray(rho, dtype=complex).view(float).reshape(n, n, 2)
-    r = coherent_amplitude_block(grid.spin, grid.thetas, np.zeros_like(grid.thetas)).real.T.copy()
+    r = grid.amplitudes
     coef = np.empty((2 * n - 1, len(grid.thetas)))  # rows c_0, Re c_1.., Im c_1..
     for d in range(n):
         c = np.diagonal(planes, d) @ (r[: n - d] * r[d:])
         coef[d] = c[0]
         if d:
             coef[n - 1 + d] = c[1]
-    angles = np.outer(np.arange(1, n), grid.phis)
-    harmonics = np.ones((2 * n - 1, len(grid.phis)))  # filled in place: less peak memory
-    np.cos(angles, out=harmonics[1:n])
-    np.sin(angles, out=harmonics[n:])
-    harmonics[1:] *= 2.0
-    values = coef.T @ harmonics
+    values = coef.T @ grid.harmonics
     clip = float(max(0.0, -values.min()))
     return HusimiField(values=np.maximum(values, 0.0, out=values), clip_magnitude=clip)

@@ -29,6 +29,7 @@ from ktops.cli import (
     run,
 )
 from ktops.husimi import husimi_field
+from ktops.spincore import coherent_amplitude_block
 from test_golden import CASES as GOLDEN_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -755,10 +756,13 @@ class TestRunHusimi:
 
         monkeypatch.setattr("ktops.cli.husimi_field", recorded("field", husimi_field))
         monkeypatch.setattr("ktops.cli._write_table", recorded("write", _write_table))
+        monkeypatch.setattr("ktops.husimi.coherent_amplitude_block",
+                            recorded("amplitudes", coherent_amplitude_block))
         cfg = RunConfig(kind="husimi", j=4, steps=3, snapshots=(0, 2, 3), n_theta=3,
                         n_phi=4, out=str(tmp_path))
         assert sorted(run(cfg)) == [f"husimi_n0000{n}.tsv" for n in (0, 2, 3)]
-        assert calls == ["field", "write"] * 3
+        # the grid builds its amplitudes in the first field and keeps them
+        assert calls == ["field", "amplitudes", "write"] + ["field", "write"] * 2
 
     def test_initial_snapshot_is_localized_blob(self, tmp_path):
         cfg = RunConfig(
@@ -935,9 +939,13 @@ class TestRunStats:
         assert summary[0, 4] > 0.5  # KS near 1 for a localized vector
 
     def test_rdm_mode_pools_eigenvectors(self, tmp_path):
-        cfg = RunConfig(
-            kind="stats-rdm", j=6, k=6.0, eps=1e-2, snapshots=(5,), out=str(tmp_path),
-        )
-        run(cfg)
-        _, data = read_table(tmp_path / "stats_components.tsv")
-        assert data.shape == (169, 3)  # 13 eigenvectors x 13 components
+        # rho_1's support: all 13 eigenvectors at step 5, and at step 0 the
+        # one of the pure product state, with no basis of its null space
+        for step, vectors in ((5, 13), (0, 1)):
+            cfg = RunConfig(
+                kind="stats-rdm", j=6, k=6.0, eps=1e-2, snapshots=(step,),
+                out=str(tmp_path / str(step)),
+            )
+            run(cfg)
+            _, data = read_table(tmp_path / str(step) / "stats_components.tsv")
+            assert data.shape == (vectors * 13, 3), step  # 13 components each

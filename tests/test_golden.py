@@ -9,7 +9,10 @@ of the 7 output cases (evolve, husimi, rmt-compare, stats-rdm), Sandybridge 5
 (those and stats-state), and NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
 AVX512_SPR" fails husimi and rmt-compare.  With the Husimi field in real
 matrix products, husimi fails on husimi_n00000.tsv alone, by at most 2e-16
-absolute, under each of the four.
+absolute, under each of the four.  stats-rdm pools only the eigenvectors of
+rho_1's support, so no kernel picks a null-space basis for it; under
+Haswell or Zen it fails by at most 1.9e-10 absolute in stats_components.tsv
+and 3.1e-12 in stats_summary.tsv.
 
 A pure refactor keeps these files byte-identical; a change to the numerics
 regenerates them and states its largest deviation, which a failing case

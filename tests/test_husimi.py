@@ -413,6 +413,16 @@ class TestSphericalGrid:
         with pytest.raises(ValueError):
             SphericalGrid.build(SpinQuantum(2), 0, 10)
 
+    def test_tables_are_built_once_and_read_only(self):
+        grid = SphericalGrid.build(SpinQuantum(4), 7, 13)
+        assert grid.amplitudes.shape == (5, 7)
+        assert grid.harmonics.shape == (9, 13)
+        for name in ("amplitudes", "harmonics"):
+            table = getattr(grid, name)
+            assert getattr(grid, name) is table, name
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+
 
 def husimi_operands(spin: SpinQuantum, seed: int) -> dict:
     """A pure amplitude vector, a raw mixed RDM, a ReducedDensityMatrix, and

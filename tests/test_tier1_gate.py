@@ -46,3 +46,24 @@ def test_collector_keeps_each_failed_report():
             collector.pytest_collectreport(report)
     assert collector.found == {"tests/test_a.py::test_bad": "call failed\nteardown failed\n",
                                "tests/test_b.py": "ImportError"}
+
+
+@pytest.mark.parametrize("found, status, line", [
+    ({KNOWN: LEG}, 0, "tier-1 gate: pass in 42.5 s;"),
+    ({KNOWN: LEG, "tests/test_x.py::test_y": "boom"}, 1, "tier-1 gate: FAIL in 42.5 s\n"),
+], ids=["pass", "fail"])
+def test_verdict_line_gives_the_suite_wall_time(found, status, line, monkeypatch, capsys):
+    def suite(args, plugins):
+        for nodeid, text in found.items():
+            report = SimpleNamespace(nodeid=nodeid, failed=True, longreprtext=text)
+            for plugin in plugins:
+                plugin.pytest_runtest_logreport(report)
+        return 1
+
+    monkeypatch.chdir(ROOT)  # main changes to the repository root; this restores the cwd
+    monkeypatch.setattr(gate.pytest, "main", suite)
+    clock = iter([10.0, 52.5])
+    monkeypatch.setattr(gate, "perf_counter", lambda: next(clock))
+    assert gate.main() == status
+    out, err = capsys.readouterr()
+    assert (out + err).startswith(line)
